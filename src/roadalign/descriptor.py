@@ -152,15 +152,20 @@ class DescriptorBank:
         return self.dx.shape[1:]
 
 
-def similarity_to_bank(d, bank, max_shift=2):
-    """Vector of similarity(d, bank[i]) for every descriptor in the bank.
+def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
+    """Vector of similarity(d, bank[i]) for i in range(start, stop).
 
     Matches the scalar `similarity` exactly; used to score one observed
-    frame against the whole reference ride at once.
+    frame against a contiguous stretch of the reference ride at once
+    (the whole ride by default). Each entry is the same whichever range
+    it is scored in.
     """
     if d.shape != bank.grid_shape:
         raise ValueError("descriptor shapes differ")
-    n = len(bank)
+    stop = len(bank) if stop is None else stop
+    if not 0 <= start <= stop <= len(bank):
+        raise ValueError(f"column range [{start}, {stop}) outside the bank")
+    n = stop - start
     if d.is_zero:
         return np.zeros(n)
     h, w = d.shape
@@ -172,8 +177,8 @@ def similarity_to_bank(d, bank, max_shift=2):
                 continue
             adx = d.dx[ys0:ys1, xs0:xs1]
             ady = d.dy[ys0:ys1, xs0:xs1]
-            bdx = bank.dx[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            bdy = bank.dy[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            bdx = bank.dx[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            bdy = bank.dy[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
             dot = np.einsum("ij,nij->n", adx, bdx) + np.einsum("ij,nij->n", ady, bdy)
             na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
             nb = np.sqrt((bdx * bdx).sum(axis=(1, 2)) + (bdy * bdy).sum(axis=(1, 2)))

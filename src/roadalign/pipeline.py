@@ -138,10 +138,13 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     """On-line mode: stream observed frames with a fixed lag.
 
     The mask for observed frame t is produced while frame t + lag is
-    being processed and lands in out_dir/mask_%06d.pgm under t's index;
-    the trailing lag frames therefore get no mask. Sync losses and
-    registration failures skip the frame and the stream continues.
-    `on_emit(push_index, emission)` runs as each label is emitted.
+    being processed and lands in out_dir/mask_%06d.pgm under t's on-disk
+    index, which also names t in sync.csv; frame numbers may start above
+    0 and have gaps. The trailing lag frames get no mask. Sync losses
+    and registration failures skip the frame and the stream continues.
+    `on_emit(index, emission)` runs as each label is emitted, with the
+    on-disk index of the frame just pushed; `emission.observed_index`
+    counts pushed frames from 0.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,16 +155,16 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     sync = OnlineSynchronizer(ref.bank, cfg.sync_config(len(ref.bank)), params)
 
     rows = []
-    pending = {}
+    pending = {}  # push position -> (on-disk index, feature, diff image)
     losses = 0
-    for t, path in list_frames(obs_dir):
+    for position, (t, path) in enumerate(list_frames(obs_dir)):
         img = load_image(path)
         feat = convert_frame(img, cfg.feature_space, direction)
         obs_diff = (feat if cfg.diff_space == cfg.feature_space
                     else convert_frame(img, cfg.diff_space, direction))
         if intrinsics is None:
             intrinsics = cfg.intrinsics(feat.shape[1], feat.shape[0])
-        pending[t] = (feat, obs_diff)
+        pending[position] = (t, feat, obs_diff)
         try:
             emission = sync.push(compute_descriptor(feat, params))
         except SyncLossError as exc:
@@ -171,14 +174,14 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
         if emission is not None:
             if on_emit is not None:
                 on_emit(t, emission)
-            obs_feat, diff_img = pending[emission.observed_index]
+            index, obs_feat, diff_img = pending[emission.observed_index]
             omega, residual, mask = _register_and_transfer(
                 ref, obs_feat, diff_img, emission.label, cfg, intrinsics,
                 refine)
-            save_mask(mask, out / f"mask_{emission.observed_index:06d}.pgm")
-            rows.append(AlignRow(emission.observed_index, emission.label,
-                                 emission.score, omega, residual))
-        for k in [k for k in pending if k <= t - cfg.lag]:
+            save_mask(mask, out / f"mask_{index:06d}.pgm")
+            rows.append(AlignRow(index, emission.label, emission.score, omega,
+                                 residual))
+        for k in [k for k in pending if k <= position - cfg.lag]:
             del pending[k]
     _write_sync_csv(out, rows)
     if losses:

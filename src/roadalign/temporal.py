@@ -58,29 +58,81 @@ def transition_prior(x_next, x_prev, beta, n_r=None):
     return beta if x_next >= x_prev else 0.0
 
 
+class _WindowFrame:
+    """One window entry: the frame's likelihood row, scored on demand.
+
+    `row` has one entry per reference label; only columns [lo, hi) hold
+    scored values, the rest are zero.
+    """
+
+    __slots__ = ("index", "descriptor", "row", "lo", "hi")
+
+    def __init__(self, index, descriptor):
+        self.index = index
+        self.descriptor = descriptor
+        self.row = None
+        self.lo = self.hi = 0
+
+    def score(self, bank, params, lo, hi, ahead):
+        """Make the cached row cover [lo, hi), scoring only what it lacks.
+
+        A row short on the right is extended up to `ahead`, so that a
+        band center moving forward finds its next columns already there.
+        """
+        if self.row is None or self.hi <= self.lo:
+            self.row = np.zeros(len(bank))
+            self.lo = self.hi = lo
+        if lo < self.lo:
+            self._fill(bank, params, lo, self.lo)
+            self.lo = lo
+        if hi > self.hi:
+            self._fill(bank, params, self.hi, ahead)
+            self.hi = ahead
+
+    def _fill(self, bank, params, start, stop):
+        sim = similarity_to_bank(self.descriptor, bank, params.max_shift,
+                                 start, stop)
+        self.row[start:stop] = likelihood_from_similarity(sim, params)
+
+
 class ObservationWindow:
-    """Ring buffer of the most recent (frame index, descriptor) pairs."""
+    """Ring buffer of the most recent (frame index, descriptor) pairs.
+
+    Each frame keeps its likelihood row against the reference bank once
+    `build_likelihood_table` has scored it; the row leaves the window
+    with its frame.
+    """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._items = deque(maxlen=capacity)
+        self._scored_with = None  # (bank, params) the cached rows belong to
 
     def push(self, index, descriptor):
-        if self._items and index != self._items[-1][0] + 1:
+        if self._items and index != self._items[-1].index + 1:
             raise ValueError("window indices must be contiguous")
-        self._items.append((index, descriptor))
+        self._items.append(_WindowFrame(index, descriptor))
 
     def __len__(self):
         return len(self._items)
 
     @property
     def indices(self):
-        return [i for i, _ in self._items]
+        return [f.index for f in self._items]
 
     @property
     def descriptors(self):
-        return [d for _, d in self._items]
+        return [f.descriptor for f in self._items]
+
+    def frames_scored_with(self, bank, params):
+        """The window's frames, their cached rows valid for bank and params."""
+        if (self._scored_with is None or self._scored_with[0] is not bank
+                or self._scored_with[1] != params):
+            for frame in self._items:
+                frame.row = None
+            self._scored_with = (bank, params)
+        return list(self._items)
 
 
 def build_likelihood_table(window, reference_descriptors, cfg, params, center=None):
@@ -88,26 +140,36 @@ def build_likelihood_table(window, reference_descriptors, cfg, params, center=No
 
     Row k scores window frame k, column j scores reference label j+1.
     When `cfg.candidate_band` is set and a band center label is given,
-    entries outside [center - band, center + band] are zeroed.
+    entries outside [center - band, center + band] are zero, and only
+    the columns inside are scored. A new row is scored one band width
+    further right as well, for the next centers. Frames of an
+    `ObservationWindow` keep their rows between calls, so each column
+    of a frame is scored at most once; a plain list of descriptors is
+    scored afresh.
     """
     if isinstance(reference_descriptors, DescriptorBank):
         bank = reference_descriptors
     else:
         bank = DescriptorBank(reference_descriptors)
-    if len(bank) != cfg.label_count_nr:
+    n = cfg.label_count_nr
+    if len(bank) != n:
         raise ValueError("reference count does not match label_count_nr")
-    descs = window.descriptors if isinstance(window, ObservationWindow) else list(window)
-    if not descs:
+    if isinstance(window, ObservationWindow):
+        frames = window.frames_scored_with(bank, params)
+    else:
+        frames = [_WindowFrame(k, d) for k, d in enumerate(window)]
+    if not frames:
         raise ValueError("empty observation window")
-    rows = [
-        likelihood_from_similarity(similarity_to_bank(d, bank, params.max_shift), params)
-        for d in descs
-    ]
-    table = np.stack(rows)
+    lo, hi, ahead = 0, n, n
     if cfg.candidate_band is not None and center is not None:
-        labels = np.arange(1, cfg.label_count_nr + 1)
-        outside = np.abs(labels - center) > cfg.candidate_band
-        table[:, outside] = 0.0
+        band = cfg.candidate_band
+        lo = min(max(center - 1 - band, 0), n)
+        hi = min(max(center + band, lo), n)
+        ahead = min(max(center + 2 * band, hi), n)
+    table = np.zeros((len(frames), n))
+    for k, frame in enumerate(frames):
+        frame.score(bank, params, lo, hi, ahead)
+        table[k, lo:hi] = frame.row[lo:hi]
     return table
 
 
@@ -175,19 +237,15 @@ def map_sequence(table, cfg):
     log_beta = math.log(cfg.beta)
     fwd = lt[0] - math.log(n)
     pointers = []
+    columns = np.arange(n)
     for k in range(1, rows):
-        best_val = -np.inf
-        best_idx = 0
-        prefix_val = np.empty(n)
-        prefix_idx = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            if fwd[j] > best_val:
-                best_val = fwd[j]
-                best_idx = j
-            prefix_val[j] = best_val
-            prefix_idx[j] = best_idx
+        # prefix argmax: the first column that reaches the running
+        # maximum, column 0 while every value so far is -inf
+        new_max = np.concatenate(
+            ([False], fwd[1:] > np.maximum.accumulate(fwd)[:-1]))
+        prefix_idx = np.maximum.accumulate(np.where(new_max, columns, 0))
         pointers.append(prefix_idx)
-        fwd = lt[k] + log_beta + prefix_val
+        fwd = lt[k] + log_beta + fwd[prefix_idx]
     if fwd.max() == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
     labels = np.empty(rows, dtype=np.int64)

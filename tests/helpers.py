@@ -7,10 +7,15 @@ thing.
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
+from roadalign.descriptor import (DescriptorBank, likelihood_from_similarity,
+                                  similarity_to_bank)
+from roadalign.errors import SyncLossError
 from roadalign.imagecore import gaussian_smooth
+from roadalign.temporal import SyncEmission, fixed_lag_infer
 
 
 def textured_image(seed, shape=(120, 160)):
@@ -38,6 +43,78 @@ def naive_monotone_best(table, beta):
             best_seq = seq
             best_score = score
     return [s + 1 for s in best_seq], best_score
+
+
+def loop_map_sequence(table, cfg):
+    """Whole-window MAP decode with a per-label prefix-argmax loop.
+
+    Ties prefer the first column reaching the running maximum, column 0
+    while every value so far is -inf.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    rows, n = table.shape
+    with np.errstate(divide="ignore"):
+        lt = np.log(table)
+    log_beta = math.log(cfg.beta)
+    fwd = lt[0] - math.log(n)
+    pointers = []
+    for k in range(1, rows):
+        best_val = -np.inf
+        best_idx = 0
+        prefix_val = np.empty(n)
+        prefix_idx = np.empty(n, dtype=np.int64)
+        for j in range(n):
+            if fwd[j] > best_val:
+                best_val = fwd[j]
+                best_idx = j
+            prefix_val[j] = best_val
+            prefix_idx[j] = best_idx
+        pointers.append(prefix_idx)
+        fwd = lt[k] + log_beta + prefix_val
+    if fwd.max() == -np.inf:
+        raise SyncLossError("no feasible monotone labeling for this window")
+    labels = np.empty(rows, dtype=np.int64)
+    labels[-1] = int(np.argmax(fwd))
+    for k in range(rows - 2, -1, -1):
+        labels[k] = pointers[k][labels[k + 1]]
+    return labels + 1
+
+
+class RebuildingSynchronizer:
+    """On-line synchronizer that keeps no likelihood rows.
+
+    Every push scores every window frame against every reference label,
+    then zeroes the labels outside the candidate band around the last
+    emission, and runs fixed-lag inference on that table.
+    """
+
+    def __init__(self, reference_descriptors, cfg, params):
+        self._bank = DescriptorBank(reference_descriptors)
+        self._cfg = cfg
+        self._params = params
+        self._window = deque(maxlen=cfg.window_L + 1)
+        self._next_index = 0
+        self._last_label = None
+
+    def push(self, descriptor):
+        cfg = self._cfg
+        index = self._next_index
+        self._next_index += 1
+        self._window.append(descriptor)
+        if index < cfg.lag_l:
+            return None
+        table = np.stack([
+            likelihood_from_similarity(
+                similarity_to_bank(d, self._bank, self._params.max_shift),
+                self._params)
+            for d in self._window])
+        if cfg.candidate_band is not None and self._last_label is not None:
+            labels = np.arange(1, cfg.label_count_nr + 1)
+            table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = 0.0
+        label, score = fixed_lag_infer(table, cfg,
+                                       min_label=self._last_label or 1)
+        self._last_label = label
+        return SyncEmission(index - cfg.lag_l, label, score)
 
 
 def naive_similarity(a, b, max_shift=2):

@@ -106,6 +106,28 @@ def test_bank_matches_scalar_similarity():
         DescriptorBank([])
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (8, 10)])
+def test_bank_column_range_is_bit_identical_to_full(shape):
+    rng = np.random.default_rng(13)
+    bank = DescriptorBank([_random_descriptor(rng, shape) for _ in range(40)])
+    params = DescriptorParams()
+    for probe in [_random_descriptor(rng, shape) for _ in range(3)]:
+        full = similarity_to_bank(probe, bank, 2)
+        full_lik = likelihood_from_similarity(full, params)
+        for start, stop in [(0, 40), (0, 1), (39, 40), (7, 8), (5, 23),
+                            (17, 40), (0, 31), (12, 12)]:
+            part = similarity_to_bank(probe, bank, 2, start, stop)
+            assert part.shape == (stop - start,)
+            assert np.array_equal(part, full[start:stop])
+            assert np.array_equal(likelihood_from_similarity(part, params),
+                                  full_lik[start:stop])
+    zero = _random_descriptor(rng, shape, zero=True)
+    assert np.array_equal(similarity_to_bank(zero, bank, 2, 3, 9), np.zeros(6))
+    for start, stop in [(-1, 4), (5, 4), (0, 41)]:
+        with pytest.raises(ValueError, match="column range"):
+            similarity_to_bank(probe, bank, 2, start, stop)
+
+
 def test_likelihood_frozen_values():
     # Gaussian density in the similarity score, mu=1, sigma=0.5:
     # a perfect match scores 1/(0.5 sqrt(2 pi)) and sim=0.5 scores

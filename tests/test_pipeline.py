@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -89,6 +90,57 @@ def test_run_align_self_alignment(mini_pair, mini_cfg, tmp_path):
         assert np.array_equal(mask, truth)
     # trailing lag frames never get a mask in on-line mode
     assert not (tmp_path / "out" / "mask_000013.pgm").exists()
+
+
+def _copy_frames(src, dst, names):
+    """Copy observed frames src/frame_<k> to dst/frame_<names[k]>."""
+    dst.mkdir()
+    for k, name in names.items():
+        shutil.copy(src / f"frame_{k:06d}.ppm", dst / f"frame_{name:06d}.ppm")
+    return dst
+
+
+def _assert_same_alignment(base_out, base_rows, out, rows, names):
+    """rows/out match base_rows/base_out with frame k renamed names[k]."""
+    assert [r.observed_index for r in rows] == [
+        names[r.observed_index] for r in base_rows]
+    assert [(r.label, r.score, r.omega) for r in rows] == [
+        (r.label, r.score, r.omega) for r in base_rows]
+    for r in base_rows:
+        name = names[r.observed_index]
+        assert ((out / f"mask_{name:06d}.pgm").read_bytes()
+                == (base_out / f"mask_{r.observed_index:06d}.pgm").read_bytes())
+    written = sorted(p.name for p in out.glob("mask_*.pgm"))
+    assert written == sorted(f"mask_{names[r.observed_index]:06d}.pgm"
+                             for r in base_rows)
+    csv = (out / "sync.csv").read_text().splitlines()
+    assert csv[1:] == [r.csv_line() for r in rows]
+
+
+def test_run_align_frame_numbers_from_100(mini_pair, mini_cfg, tmp_path):
+    names = {k: 100 + k for k in range(14)}
+    obs = _copy_frames(mini_pair.obs, tmp_path / "obs", names)
+    base_rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "base",
+                          mini_cfg)
+    rows = run_align(mini_pair.ref, obs, tmp_path / "out", mini_cfg)
+    assert len(rows) == 14 - mini_cfg.lag
+    _assert_same_alignment(tmp_path / "base", base_rows, tmp_path / "out",
+                           rows, names)
+
+
+def test_run_align_missing_frame(mini_pair, mini_cfg, tmp_path):
+    # frame 3 is missing on disk; the stream is the other 13 frames
+    kept = [k for k in range(14) if k != 3]
+    gapped = _copy_frames(mini_pair.obs, tmp_path / "gapped",
+                          {k: k for k in kept})
+    contiguous = _copy_frames(mini_pair.obs, tmp_path / "contiguous",
+                              {k: pos for pos, k in enumerate(kept)})
+    base_rows = run_align(mini_pair.ref, contiguous, tmp_path / "base",
+                          mini_cfg)
+    rows = run_align(mini_pair.ref, gapped, tmp_path / "out", mini_cfg)
+    assert len(rows) == 13 - mini_cfg.lag
+    _assert_same_alignment(tmp_path / "base", base_rows, tmp_path / "out",
+                           rows, dict(enumerate(kept)))
 
 
 def test_run_groundtruth_masks_every_frame(mini_pair, mini_cfg, tmp_path,

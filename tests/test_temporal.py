@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from helpers import naive_monotone_best, textured_image
+from helpers import (RebuildingSynchronizer, loop_map_sequence,
+                     naive_monotone_best, textured_image)
 
-from roadalign.descriptor import DescriptorParams, compute_descriptor
+from roadalign import temporal
+from roadalign.descriptor import (DescriptorBank, DescriptorParams,
+                                  compute_descriptor)
 from roadalign.errors import SyncLossError
 from roadalign.temporal import (ObservationWindow, OnlineSynchronizer,
                                 SyncConfig, SyncEmission, SyncResult,
@@ -101,6 +104,33 @@ def test_table_candidate_band_zeroes_far_labels():
     # without a center the band is inactive
     full = build_likelihood_table(descs, ref, cfg, PARAMS)
     assert np.all(full > 0)
+
+
+def test_window_table_matches_fresh_band_zeroed_table():
+    ref = _descriptors(_frames(12))
+    descs = _descriptors(_frames(5, start=3))
+    bank = DescriptorBank(ref)
+    cfg = SyncConfig(label_count_nr=12, lag_l=1, window_L=4, candidate_band=2)
+    full = build_likelihood_table(
+        descs, bank, SyncConfig(label_count_nr=12, lag_l=1, window_L=4), PARAMS)
+    window = ObservationWindow(5)
+    for i, d in enumerate(descs):
+        window.push(i, d)
+    labels = np.arange(1, 13)
+    # centers that move back, jump past the cached columns, leave the bank
+    for center in [7, 9, 3, 12, None, 1, 20]:
+        got = build_likelihood_table(window, bank, cfg, PARAMS, center=center)
+        want = full.copy()
+        if center is not None:
+            want[:, np.abs(labels - center) > 2] = 0.0
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            build_likelihood_table(descs, bank, cfg, PARAMS, center=center), want)
+    # rows cached against one bank are not reused for another
+    other = DescriptorBank(ref[::-1])
+    assert np.array_equal(
+        build_likelihood_table(window, other, cfg, PARAMS, center=5),
+        build_likelihood_table(descs, other, cfg, PARAMS, center=5))
 
 
 def test_table_validates_reference_count():
@@ -235,6 +265,30 @@ def test_map_sequence_matches_brute_force():
         assert np.all(np.diff(got) >= 0)
 
 
+def test_map_sequence_matches_loop_on_ties_and_zero_columns():
+    rng = np.random.default_rng(25)
+    losses = 0
+    for _ in range(300):
+        rows = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 8))
+        beta = float(rng.choice([0.5, 1.0, 2.0]))
+        # few distinct values make ties common; zeros make -inf entries
+        table = rng.choice([0.0, 0.25, 0.5, 1.0], size=(rows, n))
+        table[:, rng.random(n) < 0.3] = 0.0
+        cfg = SyncConfig(label_count_nr=n, lag_l=1, window_L=8, beta=beta)
+        try:
+            want = loop_map_sequence(table, cfg)
+        except SyncLossError:
+            losses += 1
+            with pytest.raises(SyncLossError):
+                map_sequence(table, cfg)
+            continue
+        got = map_sequence(table, cfg)
+        assert np.array_equal(got, want)
+        assert list(got) == brute_force_map(table, cfg)
+    assert 0 < losses < 300
+
+
 def test_map_sequence_uniform_table_returns_ones():
     cfg = SyncConfig(label_count_nr=4, lag_l=1, window_L=6)
     assert list(map_sequence(np.ones((5, 4)), cfg)) == [1, 1, 1, 1, 1]
@@ -322,6 +376,69 @@ def test_online_labels_never_decrease_under_noise():
     labels = sync.result.labels()
     assert len(labels) == 13
     assert np.all(np.diff(labels) >= 0)
+
+
+def _push_both(ref, obs, cfg, params, monkeypatch):
+    """Outcome of each push (emission or "loss") from the cached
+    synchronizer and from the rebuilding oracle, plus the cached one's
+    similarity_to_bank call count."""
+    calls = []
+    scored = temporal.similarity_to_bank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scored(*args, **kwargs)
+
+    monkeypatch.setattr(temporal, "similarity_to_bank", counting)
+    outcomes = []
+    for sync in (OnlineSynchronizer(ref, cfg, params),
+                 RebuildingSynchronizer(ref, cfg, params)):
+        got = []
+        for d in obs:
+            try:
+                got.append(sync.push(d))
+            except SyncLossError:
+                got.append("loss")
+        outcomes.append(got)
+    return outcomes[0], outcomes[1], len(calls)
+
+
+def test_cached_rows_match_rebuilt_tables_without_band(monkeypatch):
+    ref = _descriptors(_frames(12))
+    obs = [ref[t // 2] for t in range(20)]
+    cfg = SyncConfig(label_count_nr=12, lag_l=2, window_L=4)
+    cached, rebuilt, calls = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
+    assert cached == rebuilt
+    assert sum(e is not None for e in cached) == 18
+    assert calls == len(obs)  # each frame scored once
+
+
+def test_cached_rows_match_rebuilt_tables_when_center_outruns_lookahead(
+        monkeypatch):
+    ref = _descriptors(_frames(40))
+    obs = [ref[2 * t] for t in range(20)]
+    cfg = SyncConfig(label_count_nr=40, lag_l=2, window_L=4, candidate_band=2)
+    cached, rebuilt, calls = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
+    assert cached == rebuilt
+    assert [e.label for e in cached[2:]] == list(range(1, 37, 2))
+    # the center gains 2 labels a push, so cached rows get extended
+    assert len(obs) < calls < 3 * len(obs)
+
+
+def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
+    # a narrow density underflows to 0 at similarity 0, so a blank frame
+    # (zero descriptor) leaves no feasible labeling while in the window
+    params = DescriptorParams(smooth_sigma=1.5, downsample_factor=8,
+                              max_shift=2, sigma_y=0.02)
+    frames = _frames(20)
+    ref = [compute_descriptor(f, params) for f in frames]
+    obs = ref[:16]
+    obs[7] = compute_descriptor(np.full((60, 80), 0.5), params)
+    cfg = SyncConfig(label_count_nr=20, lag_l=2, window_L=4, candidate_band=3)
+    cached, rebuilt, _ = _push_both(ref, obs, cfg, params, monkeypatch)
+    assert cached == rebuilt
+    assert "loss" in cached
+    assert cached[-1] != "loss"
 
 
 def test_online_validates_reference_count():
