@@ -10,41 +10,17 @@ orchestration (config, pipeline, cli).
 """
 
 from .config import PipelineConfig
-from .descriptor import (Descriptor, DescriptorBank, DescriptorParams,
-                         compute_descriptor, observation_likelihood,
-                         similarity)
-from .errors import (AlignmentError, ConfigError, DataError, ImageFormatError,
-                     MalformedHeaderError, RoadAlignError, SyncLossError,
-                     TruncatedPayloadError, UnsupportedMaxvalError, UsageError)
-from .evaluate import ContingencyTable, MetricSet, aggregate, contingency, metrics
-from .imagecore import load_image, load_mask, save_image_rgb, save_mask
-from .invariant import InvariantDirection, rgb_to_invariant
+from .errors import (ConfigError, DataError, ImageFormatError, RoadAlignError,
+                     UsageError)
 from .pipeline import run_align, run_eval, run_groundtruth
-from .spatial import (CameraIntrinsics, LKSettings, RotationParams, lk_align,
-                      warp_image, warp_mask)
-from .synth import (GroundTruth, RideSpec, SceneSpec, ShadowBand, Vehicle,
-                    make_pair, preset_street, render_ride)
-from .temporal import (ObservationWindow, OnlineSynchronizer, SyncConfig,
-                       SyncEmission, SyncResult, brute_force_map,
-                       fixed_lag_infer, map_sequence, synchronize_online)
-from .transfer import RefineSettings, otsu_threshold, transfer_and_refine
+from .synth import make_pair
 
 __version__ = "0.1.0"
 
+# what the command line and the README's library example use; every
+# other name stays importable from its module
 __all__ = [
-    "AlignmentError", "CameraIntrinsics", "ConfigError", "ContingencyTable",
-    "DataError", "Descriptor", "DescriptorBank", "DescriptorParams",
-    "GroundTruth", "ImageFormatError", "InvariantDirection", "LKSettings",
-    "MalformedHeaderError", "MetricSet", "ObservationWindow",
-    "OnlineSynchronizer", "PipelineConfig", "RefineSettings", "RideSpec",
-    "RoadAlignError", "RotationParams", "SceneSpec", "ShadowBand",
-    "SyncConfig", "SyncEmission", "SyncLossError", "SyncResult",
-    "TruncatedPayloadError", "UnsupportedMaxvalError", "UsageError",
-    "Vehicle", "aggregate", "brute_force_map", "compute_descriptor",
-    "contingency", "fixed_lag_infer", "lk_align", "load_image", "load_mask",
-    "make_pair", "map_sequence", "metrics", "observation_likelihood",
-    "otsu_threshold", "preset_street", "render_ride", "rgb_to_invariant",
-    "run_align", "run_eval", "run_groundtruth", "save_image_rgb", "save_mask",
-    "similarity", "synchronize_online", "transfer_and_refine", "warp_image",
-    "warp_mask", "__version__",
+    "ConfigError", "DataError", "ImageFormatError", "PipelineConfig",
+    "RoadAlignError", "UsageError", "make_pair", "run_align", "run_eval",
+    "run_groundtruth", "__version__",
 ]

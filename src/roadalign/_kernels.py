@@ -1,54 +1,39 @@
-"""Hot per-pixel kernels with a numba fast path and a numpy fallback.
+"""Hot per-pixel kernels, vectorized with numpy.
 
-The backend is chosen once at import time from the ROADALIGN_BACKEND
-environment variable: "numba" forces the jit path (import error if numba
-is missing), "numpy" forces the vectorized fallback, anything else picks
-numba when available. Kernels are single-threaded on purpose so results
-are bit-stable for a given backend.
-
-Both backends implement the same semantics: backward warping under the
-small-rotation quadratic motion model, bilinear (images) or half-up
-nearest (masks) sampling, validity limited to sampling positions inside
-[0, w-1] x [0, h-1], and Gauss-Newton term accumulation with gradients
-matching numpy.gradient (central inside, one-sided at borders). Pixels
-whose gradient stencil touches an invalid sample are skipped.
+Backward warping under the small-rotation quadratic motion model,
+bilinear (images) or half-up nearest (masks) sampling, validity limited
+to sampling positions inside [0, w-1] x [0, h-1], and Gauss-Newton term
+accumulation with gradients matching numpy.gradient (central inside,
+one-sided at borders). Pixels whose gradient stencil touches an invalid
+sample are skipped.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("ROADALIGN_BACKEND", "auto").strip().lower()
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-if _requested == "numba" and not HAS_NUMBA:
-    raise ImportError("ROADALIGN_BACKEND=numba but numba is not importable")
+def get_backend():
+    """Name of the kernel implementation; there is only "numpy"."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy path
+def flow(x, y, wx, wy, wz, f):
+    """Rotation flow (u, v) at coordinates (x, y) relative to the centre."""
+    u = (-x * y / f) * wx + (f + x * x / f) * wy - y * wz
+    v = (-f - y * y / f) * wx + (x * y / f) * wy + x * wz
+    return u, v
 
 
 def _motion_grid(h, w, wx, wy, wz, f, cx, cy):
-    # mirror the loop backend's arithmetic exactly (same expression tree)
-    # so sampling positions agree bit-for-bit between backends
+    """Sampling positions of every pixel of an h x w frame."""
     xi, yi = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
-    x = xi - cx
-    y = yi - cy
-    u = (-x * y / f) * wx + (f + x * x / f) * wy - y * wz
-    v = (-f - y * y / f) * wx + (x * y / f) * wy + x * wz
+    u, v = flow(xi - cx, yi - cy, wx, wy, wz, f)
     return xi + u, yi + v
 
 
-def _warp_bilinear_numpy(src, wx, wy, wz, f, cx, cy):
+def warp_bilinear(src, wx, wy, wz, f, cx, cy):
+    """Backward-warp src with bilinear sampling; returns (warped, valid)."""
+    src = np.asarray(src, dtype=np.float64)
     h, w = src.shape
     sx, sy = _motion_grid(h, w, wx, wy, wz, f, cx, cy)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
@@ -67,17 +52,19 @@ def _warp_bilinear_numpy(src, wx, wy, wz, f, cx, cy):
     return out, valid
 
 
-def _warp_nearest_numpy(mask, wx, wy, wz, f, cx, cy):
+def warp_nearest(mask, wx, wy, wz, f, cx, cy):
+    """Backward-warp a boolean mask with half-up nearest sampling."""
+    mask = np.asarray(mask, dtype=np.bool_)
     h, w = mask.shape
     sx, sy = _motion_grid(h, w, wx, wy, wz, f, cx, cy)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    # half-up rounding keeps both backends in exact agreement
     ix = np.clip(np.floor(sx + 0.5).astype(np.int64), 0, w - 1)
     iy = np.clip(np.floor(sy + 0.5).astype(np.int64), 0, h - 1)
     return mask[iy, ix] & valid
 
 
-def _lk_terms_numpy(warped, valid, obs, f, cx, cy, skip):
+def lk_terms(warped, valid, obs, f, cx, cy, skip):
+    """Gauss-Newton terms (hess, grad, sse, count) of warped against obs."""
     h, w = warped.shape
     gy, gx = np.gradient(warped)
 
@@ -115,7 +102,8 @@ def _lk_terms_numpy(warped, valid, obs, f, cx, cy, skip):
     return hess, grad, float((r * r).sum()), int(ok.sum())
 
 
-def _masked_sse_numpy(warped, valid, obs, skip):
+def masked_sse(warped, valid, obs, skip):
+    """(sum of squared residuals, count) over valid pixels inside skip."""
     h, w = warped.shape
     if skip > 0:
         region = np.zeros_like(valid)
@@ -126,182 +114,13 @@ def _masked_sse_numpy(warped, valid, obs, skip):
     return float((r * r).sum()), int(region.sum())
 
 
-# ---------------------------------------------------------------------------
-# loop path, jit-compiled when numba is active
-
-
-def _warp_bilinear_loop(src, wx, wy, wz, f, cx, cy):
-    h, w = src.shape
-    out = np.zeros((h, w))
-    valid = np.zeros((h, w), dtype=np.bool_)
-    for yy in range(h):
-        yb = yy - cy
-        for xx in range(w):
-            xb = xx - cx
-            u = (-xb * yb / f) * wx + (f + xb * xb / f) * wy - yb * wz
-            v = (-f - yb * yb / f) * wx + (xb * yb / f) * wy + xb * wz
-            sx = xx + u
-            sy = yy + v
-            if sx < 0.0 or sx > w - 1 or sy < 0.0 or sy > h - 1:
-                continue
-            x0 = int(np.floor(sx))
-            y0 = int(np.floor(sy))
-            fx = sx - x0
-            fy = sy - y0
-            x1 = x0 + 1 if x0 + 1 < w else w - 1
-            y1 = y0 + 1 if y0 + 1 < h else h - 1
-            top = (1.0 - fx) * src[y0, x0] + fx * src[y0, x1]
-            bot = (1.0 - fx) * src[y1, x0] + fx * src[y1, x1]
-            out[yy, xx] = (1.0 - fy) * top + fy * bot
-            valid[yy, xx] = True
-    return out, valid
-
-
-def _warp_nearest_loop(mask, wx, wy, wz, f, cx, cy):
-    h, w = mask.shape
-    out = np.zeros((h, w), dtype=np.bool_)
-    for yy in range(h):
-        yb = yy - cy
-        for xx in range(w):
-            xb = xx - cx
-            u = (-xb * yb / f) * wx + (f + xb * xb / f) * wy - yb * wz
-            v = (-f - yb * yb / f) * wx + (xb * yb / f) * wy + xb * wz
-            sx = xx + u
-            sy = yy + v
-            if sx < 0.0 or sx > w - 1 or sy < 0.0 or sy > h - 1:
-                continue
-            ix = int(np.floor(sx + 0.5))
-            iy = int(np.floor(sy + 0.5))
-            if ix > w - 1:
-                ix = w - 1
-            if iy > h - 1:
-                iy = h - 1
-            out[yy, xx] = mask[iy, ix]
-    return out
-
-
-def _lk_terms_loop(warped, valid, obs, f, cx, cy, skip):
-    h, w = warped.shape
-    hess = np.zeros((3, 3))
-    grad = np.zeros(3)
-    sse = 0.0
-    count = 0
-    for yy in range(skip, h - skip):
-        for xx in range(skip, w - skip):
-            if not valid[yy, xx]:
-                continue
-            if 0 < xx < w - 1:
-                if not (valid[yy, xx - 1] and valid[yy, xx + 1]):
-                    continue
-                gx = (warped[yy, xx + 1] - warped[yy, xx - 1]) * 0.5
-            elif xx == 0:
-                if not valid[yy, 1]:
-                    continue
-                gx = warped[yy, 1] - warped[yy, 0]
-            else:
-                if not valid[yy, w - 2]:
-                    continue
-                gx = warped[yy, w - 1] - warped[yy, w - 2]
-            if 0 < yy < h - 1:
-                if not (valid[yy - 1, xx] and valid[yy + 1, xx]):
-                    continue
-                gy = (warped[yy + 1, xx] - warped[yy - 1, xx]) * 0.5
-            elif yy == 0:
-                if not valid[1, xx]:
-                    continue
-                gy = warped[1, xx] - warped[0, xx]
-            else:
-                if not valid[h - 2, xx]:
-                    continue
-                gy = warped[h - 1, xx] - warped[h - 2, xx]
-            xb = xx - cx
-            yb = yy - cy
-            jx = gx * (-xb * yb / f) + gy * (-f - yb * yb / f)
-            jy = gx * (f + xb * xb / f) + gy * (xb * yb / f)
-            jz = gx * (-yb) + gy * xb
-            r = warped[yy, xx] - obs[yy, xx]
-            hess[0, 0] += jx * jx
-            hess[0, 1] += jx * jy
-            hess[0, 2] += jx * jz
-            hess[1, 1] += jy * jy
-            hess[1, 2] += jy * jz
-            hess[2, 2] += jz * jz
-            grad[0] += jx * r
-            grad[1] += jy * r
-            grad[2] += jz * r
-            sse += r * r
-            count += 1
-    hess[1, 0] = hess[0, 1]
-    hess[2, 0] = hess[0, 2]
-    hess[2, 1] = hess[1, 2]
-    return hess, grad, sse, count
-
-
-def _masked_sse_loop(warped, valid, obs, skip):
-    h, w = warped.shape
-    sse = 0.0
-    count = 0
-    for yy in range(skip, h - skip):
-        for xx in range(skip, w - skip):
-            if not valid[yy, xx]:
-                continue
-            r = warped[yy, xx] - obs[yy, xx]
-            sse += r * r
-            count += 1
-    return sse, count
-
-
-NUMPY_IMPL = {
-    "warp_bilinear": _warp_bilinear_numpy,
-    "warp_nearest": _warp_nearest_numpy,
-    "lk_terms": _lk_terms_numpy,
-    "masked_sse": _masked_sse_numpy,
-}
-
-if HAS_NUMBA:
-    NUMBA_IMPL = {
-        "warp_bilinear": njit(cache=True)(_warp_bilinear_loop),
-        "warp_nearest": njit(cache=True)(_warp_nearest_loop),
-        "lk_terms": njit(cache=True)(_lk_terms_loop),
-        "masked_sse": njit(cache=True)(_masked_sse_loop),
-    }
-else:
-    NUMBA_IMPL = None
-
-if _requested == "numpy" or not HAS_NUMBA:
-    _ACTIVE = NUMPY_IMPL
-    BACKEND = "numpy"
-else:
-    _ACTIVE = NUMBA_IMPL
-    BACKEND = "numba"
-
-
-def get_backend():
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return BACKEND
-
-
-def warp_bilinear(src, wx, wy, wz, f, cx, cy):
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    return _ACTIVE["warp_bilinear"](src, wx, wy, wz, f, cx, cy)
-
-
-def warp_nearest(mask, wx, wy, wz, f, cx, cy):
-    mask = np.ascontiguousarray(mask, dtype=np.bool_)
-    return _ACTIVE["warp_nearest"](mask, wx, wy, wz, f, cx, cy)
-
-
 def lk_accumulate(ref, obs, wx, wy, wz, f, cx, cy, skip):
     """Warp ref, then return Gauss-Newton terms (hess, grad, sse, count)."""
-    ref = np.ascontiguousarray(ref, dtype=np.float64)
-    obs = np.ascontiguousarray(obs, dtype=np.float64)
-    warped, valid = _ACTIVE["warp_bilinear"](ref, wx, wy, wz, f, cx, cy)
-    return _ACTIVE["lk_terms"](warped, valid, obs, f, cx, cy, skip)
+    warped, valid = warp_bilinear(ref, wx, wy, wz, f, cx, cy)
+    return lk_terms(warped, valid, obs, f, cx, cy, skip)
 
 
 def warp_sse(ref, obs, wx, wy, wz, f, cx, cy, skip):
     """Warp ref and return (sum of squared residuals, pixel count)."""
-    ref = np.ascontiguousarray(ref, dtype=np.float64)
-    obs = np.ascontiguousarray(obs, dtype=np.float64)
-    warped, valid = _ACTIVE["warp_bilinear"](ref, wx, wy, wz, f, cx, cy)
-    return _ACTIVE["masked_sse"](warped, valid, obs, skip)
+    warped, valid = warp_bilinear(ref, wx, wy, wz, f, cx, cy)
+    return masked_sse(warped, valid, obs, skip)

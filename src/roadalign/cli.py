@@ -120,7 +120,8 @@ def _add_pipeline_flags(sub, swap=False):
     sub.add_argument("--theta", help="invariant direction in radians")
     sub.add_argument("--focal", help="focal length in pixels")
     sub.add_argument("--band",
-                     help="candidate label band half-width, or 'none'")
+                     help="candidate label band half-width, or 'none' "
+                          "(align only)")
     sub.add_argument("--no-refine", action="store_true",
                      help="emit raw transferred masks without background "
                           "subtraction")

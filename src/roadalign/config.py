@@ -1,10 +1,12 @@
 """Pipeline configuration: key=value files plus command-line overrides."""
 
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .descriptor import DescriptorParams
 from .errors import ConfigError
+from .invariant import InvariantDirection
 from .spatial import CameraIntrinsics, LKSettings
 from .temporal import SyncConfig
 from .transfer import RefineSettings
@@ -34,13 +36,17 @@ def read_key_values(path):
     return out
 
 
-def _get(raw, key, cast, default):
-    if key not in raw or raw[key] == "":
-        return default
+def _cast(field, text):
+    """Parse one config value as the field's type; ConfigError if it fails."""
+    kind = field.type
+    if isinstance(kind, types.UnionType):  # `T | None`
+        if text.lower() in ("none", "off"):
+            return None
+        kind = next(t for t in kind.__args__ if t is not type(None))
     try:
-        return cast(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
+        return int(text, 10) if kind is int else kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {field.name!r}: {exc}") from exc
 
 
 @dataclass
@@ -74,7 +80,7 @@ class PipelineConfig:
             raise ConfigError(f"feature_space must be one of {_FEATURE_SPACES}")
         if self.diff_space not in _FEATURE_SPACES:
             raise ConfigError(f"diff_space must be one of {_FEATURE_SPACES}")
-        if self.focal_px <= 0:
+        if not self.focal_px > 0:
             raise ConfigError("focal_px must be positive")
         if self.lag < 0:
             raise ConfigError("lag must be non-negative")
@@ -82,60 +88,49 @@ class PipelineConfig:
             raise ConfigError("window must be at least max(lag, 1)")
         if self.band is not None and self.band < 1:
             raise ConfigError("band must be at least 1 frame")
+        if not self.beta > 0:
+            raise ConfigError("beta must be positive")
+        # the stage settings check their own values; build them once here
+        # so that a bad value fails before any frame is read
+        try:
+            InvariantDirection(self.theta)
+            self.descriptor_params()
+            self.lk_settings()
+            self.refine_settings()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def load(cls, config_path=None, overrides=None):
         """Build a config from an optional file plus override mapping.
 
-        Overrides use the same keys as the file and win over it. theta
-        and focal_px must come from one of the two sources.
+        Overrides use the same keys as the file and win over it. Keys
+        are the field names; an empty value means the field's default,
+        and fields without a default (theta, focal_px) must come from
+        one of the two sources. Fields that may be None also accept
+        `none` or `off`.
         """
         raw = read_key_values(config_path) if config_path else {}
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
-        if "theta" not in raw:
-            raise ConfigError("missing required key: theta")
-        if "focal_px" not in raw:
-            raise ConfigError("missing required key: focal_px")
+        values = {}
+        for f in fields(cls):
+            text = str(raw.get(f.name, "")).strip()
+            if text == "":
+                if f.default is MISSING:
+                    raise ConfigError(f"missing required key: {f.name}")
+                continue
+            values[f.name] = _cast(f, text)
+        return cls(**values)
 
-        def intish(v):
-            return int(str(v), 10)
-
-        band_raw = raw.get("band", 30)
-        band = None if str(band_raw).lower() in ("none", "off") else intish(band_raw)
-        return cls(
-            theta=_get(raw, "theta", float, None),
-            focal_px=_get(raw, "focal_px", float, None),
-            cx=_get(raw, "cx", float, None),
-            cy=_get(raw, "cy", float, None),
-            lag=_get(raw, "lag", intish, 5),
-            window=_get(raw, "window", intish, 10),
-            beta=_get(raw, "beta", float, 1.0),
-            band=band,
-            smooth_sigma=_get(raw, "smooth_sigma", float, 2.0),
-            downsample_factor=_get(raw, "downsample_factor", intish, 16),
-            gradient_floor_ratio=_get(raw, "gradient_floor_ratio", float, 0.05),
-            max_shift=_get(raw, "max_shift", intish, 2),
-            mu_y=_get(raw, "mu_y", float, 1.0),
-            sigma_y=_get(raw, "sigma_y", float, 0.5),
-            pyramid_levels=_get(raw, "pyramid_levels", intish, 3),
-            max_iterations=_get(raw, "max_iterations", intish, 50),
-            robust_skip=_get(raw, "robust_skip", intish, 2),
-            min_blob_px=_get(raw, "min_blob_px", intish, 25),
-            histogram_bins=_get(raw, "histogram_bins", intish, 256),
-            feature_space=_get(raw, "feature_space", str, "invariant"),
-            diff_space=_get(raw, "diff_space", str, "invariant"),
-        )
+    def _settings(self, settings_cls):
+        """Build settings_cls from the fields it shares with this config."""
+        return settings_cls(**{f.name: getattr(self, f.name)
+                               for f in fields(settings_cls)
+                               if f.name in self.__dataclass_fields__})
 
     def descriptor_params(self):
-        return DescriptorParams(
-            smooth_sigma=self.smooth_sigma,
-            downsample_factor=self.downsample_factor,
-            gradient_floor_ratio=self.gradient_floor_ratio,
-            max_shift=self.max_shift,
-            mu_y=self.mu_y,
-            sigma_y=self.sigma_y,
-        )
+        return self._settings(DescriptorParams)
 
     def sync_config(self, label_count):
         return SyncConfig(
@@ -147,17 +142,10 @@ class PipelineConfig:
         )
 
     def lk_settings(self):
-        return LKSettings(
-            pyramid_levels=self.pyramid_levels,
-            max_iterations=self.max_iterations,
-            robust_skip=self.robust_skip,
-        )
+        return self._settings(LKSettings)
 
     def refine_settings(self):
-        return RefineSettings(
-            min_blob_px=self.min_blob_px,
-            histogram_bins=self.histogram_bins,
-        )
+        return self._settings(RefineSettings)
 
     def intrinsics(self, width, height):
         cx = self.cx if self.cx is not None else (width - 1) / 2.0

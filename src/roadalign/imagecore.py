@@ -106,13 +106,6 @@ def save_mask(mask, path):
     _write_pnm(path, "P5", payload)
 
 
-def save_image_gray(img, path):
-    """Write a [0, 1] grayscale image as binary PGM."""
-    arr = np.asarray(img, dtype=np.float64)
-    payload = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    _write_pnm(path, "P5", payload)
-
-
 def save_image_rgb(img, path):
     """Write a [0, 1] color image as binary PPM."""
     arr = np.asarray(img, dtype=np.float64)
@@ -188,26 +181,6 @@ def gradient(img):
         raise ValueError("gradient needs at least a 2x2 image")
     dy, dx = np.gradient(arr)
     return dx, dy
-
-
-def sample_bilinear(img, x, y):
-    """Bilinear sample at (x, y); NaN marks out-of-bounds positions.
-
-    Positions outside [0, w-1] x [0, h-1] return NaN instead of raising.
-    """
-    arr = np.asarray(img, dtype=np.float64)
-    h, w = arr.shape
-    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
-        return math.nan
-    x0 = math.floor(x)
-    y0 = math.floor(y)
-    fx = x - x0
-    fy = y - y0
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    top = (1.0 - fx) * arr[y0, x0] + fx * arr[y0, x1]
-    bot = (1.0 - fx) * arr[y1, x0] + fx * arr[y1, x1]
-    return float((1.0 - fy) * top + fy * bot)
 
 
 def build_pyramid(img, levels):

@@ -65,6 +65,23 @@ def convert_frame(img, space, direction):
     return rgb_to_gray(img) if img.ndim == 3 else img
 
 
+def _load_frame(path, cfg, direction, shape=None):
+    """Load one frame as its (feature, diff) image pair.
+
+    The diff image is the feature image itself when both spaces agree.
+    A frame whose size differs from `shape` (rows, columns) is a
+    DataError.
+    """
+    img = load_image(path)
+    if shape is not None and img.shape[:2] != shape:
+        raise DataError(f"{path}: frame is {img.shape[1]}x{img.shape[0]}, "
+                        f"reference frames are {shape[1]}x{shape[0]}")
+    feat = convert_frame(img, cfg.feature_space, direction)
+    if cfg.diff_space == cfg.feature_space:
+        return feat, feat
+    return feat, convert_frame(img, cfg.diff_space, direction)
+
+
 @dataclass
 class ReferenceRide:
     feature: list   # per-frame image in the sync/registration space
@@ -79,11 +96,10 @@ def load_reference(ref_dir, cfg):
     params = cfg.descriptor_params()
     feature, diff, masks = [], [], []
     for index, path in list_frames(ref_dir):
-        img = load_image(path)
-        feat = convert_frame(img, cfg.feature_space, direction)
+        shape = feature[0].shape if feature else None
+        feat, diff_img = _load_frame(path, cfg, direction, shape)
         feature.append(feat)
-        diff.append(feat if cfg.diff_space == cfg.feature_space
-                    else convert_frame(img, cfg.diff_space, direction))
+        diff.append(diff_img)
         mask_path = path.with_name(f"mask_{index:06d}.pgm")
         if not mask_path.exists():
             raise DataError(f"missing reference mask: {mask_path}")
@@ -151,19 +167,15 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     ref = load_reference(ref_dir, cfg)
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
-    intrinsics = None
+    shape = ref.feature[0].shape
+    intrinsics = cfg.intrinsics(shape[1], shape[0])
     sync = OnlineSynchronizer(ref.bank, cfg.sync_config(len(ref.bank)), params)
 
     rows = []
     pending = {}  # push position -> (on-disk index, feature, diff image)
     losses = 0
     for position, (t, path) in enumerate(list_frames(obs_dir)):
-        img = load_image(path)
-        feat = convert_frame(img, cfg.feature_space, direction)
-        obs_diff = (feat if cfg.diff_space == cfg.feature_space
-                    else convert_frame(img, cfg.diff_space, direction))
-        if intrinsics is None:
-            intrinsics = cfg.intrinsics(feat.shape[1], feat.shape[0])
+        feat, obs_diff = _load_frame(path, cfg, direction, shape)
         pending[position] = (t, feat, obs_diff)
         try:
             emission = sync.push(compute_descriptor(feat, params))
@@ -193,25 +205,20 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     """Off-line mode: decode the whole sequence jointly, mask every frame.
 
     The label window spans the full observed ride, so there is no lag
-    and no candidate band (a configured band is ignored with a warning).
+    and no candidate band; `cfg.band` applies to `run_align` only.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.band is not None:
-        logger.warning("candidate band ignored in ground-truth mode")
     ref = load_reference(ref_dir, cfg)
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
+    shape = ref.feature[0].shape
+    intrinsics = cfg.intrinsics(shape[1], shape[0])
 
     indexed = list_frames(obs_dir)
-    feats, diffs = [], []
-    for _, path in indexed:
-        img = load_image(path)
-        feat = convert_frame(img, cfg.feature_space, direction)
-        feats.append(feat)
-        diffs.append(feat if cfg.diff_space == cfg.feature_space
-                     else convert_frame(img, cfg.diff_space, direction))
-    intrinsics = cfg.intrinsics(feats[0].shape[1], feats[0].shape[0])
+    # every frame is loaded before any is described or registered
+    feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
+                         for _, path in indexed))
 
     full_cfg = SyncConfig(label_count_nr=len(ref.bank), lag_l=0,
                           window_L=max(len(feats) - 1, 0), beta=cfg.beta,

@@ -90,13 +90,10 @@ def motion_field(x, y, omega, intrinsics):
     Linear in the angles; quadratic in the re-centered coordinates.
     Accepts scalars or arrays.
     """
-    f = intrinsics.focal_px
     xb = np.asarray(x, dtype=np.float64) - intrinsics.cx
     yb = np.asarray(y, dtype=np.float64) - intrinsics.cy
-    wx, wy, wz = omega.omega_x, omega.omega_y, omega.omega_z
-    u = (-xb * yb / f) * wx + (f + xb * xb / f) * wy - yb * wz
-    v = (-f - yb * yb / f) * wx + (xb * yb / f) * wy + xb * wz
-    return u, v
+    return _kernels.flow(xb, yb, omega.omega_x, omega.omega_y, omega.omega_z,
+                         intrinsics.focal_px)
 
 
 def warp_image(src, omega, intrinsics):

@@ -19,7 +19,6 @@ import numpy as np
 from .descriptor import (
     DescriptorBank,
     DescriptorParams,
-    compute_descriptor,
     likelihood_from_similarity,
     similarity_to_bank,
 )
@@ -48,14 +47,6 @@ class SyncConfig:
             raise ValueError("beta must be positive")
         if self.candidate_band is not None and self.candidate_band < 0:
             raise ValueError("candidate_band must be non-negative")
-
-
-def transition_prior(x_next, x_prev, beta, n_r=None):
-    """Monotone transition weight: beta when x_next >= x_prev, else 0."""
-    for x in (x_next, x_prev):
-        if x < 1 or (n_r is not None and x > n_r):
-            raise ValueError(f"label {x} out of range")
-    return beta if x_next >= x_prev else 0.0
 
 
 class _WindowFrame:
@@ -302,11 +293,6 @@ class SyncResult:
     def labels(self):
         return [e.label for e in self.emitted]
 
-    def csv_lines(self):
-        yield "observed_index,reference_label,score"
-        for e in self.emitted:
-            yield f"{e.observed_index},{e.label},{e.score:.9g}"
-
 
 class OnlineSynchronizer:
     """Incremental fixed-lag synchronizer.
@@ -349,16 +335,3 @@ class OnlineSynchronizer:
         self.result.append(emission)
         self._last_label = label
         return emission
-
-
-def synchronize_online(frames, reference_descriptors, cfg, params=DescriptorParams()):
-    """Synchronize a stream of grayscale frames against a reference ride.
-
-    Descriptors are computed per frame and fed through an
-    OnlineSynchronizer; sync-loss propagates to the caller. Streams
-    shorter than lag_l + 1 frames emit nothing.
-    """
-    sync = OnlineSynchronizer(reference_descriptors, cfg, params)
-    for frame in frames:
-        sync.push(compute_descriptor(frame, params))
-    return sync.result

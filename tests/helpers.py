@@ -117,6 +117,131 @@ class RebuildingSynchronizer:
         return SyncEmission(index - cfg.lag_l, label, score)
 
 
+# Per-pixel loop twins of the `_kernels` functions, same semantics and
+# the same floating-point expressions, one pixel at a time.
+
+
+def loop_warp_bilinear(src, wx, wy, wz, f, cx, cy):
+    h, w = src.shape
+    out = np.zeros((h, w))
+    valid = np.zeros((h, w), dtype=np.bool_)
+    for yy in range(h):
+        yb = yy - cy
+        for xx in range(w):
+            xb = xx - cx
+            u = (-xb * yb / f) * wx + (f + xb * xb / f) * wy - yb * wz
+            v = (-f - yb * yb / f) * wx + (xb * yb / f) * wy + xb * wz
+            sx = xx + u
+            sy = yy + v
+            if sx < 0.0 or sx > w - 1 or sy < 0.0 or sy > h - 1:
+                continue
+            x0 = int(np.floor(sx))
+            y0 = int(np.floor(sy))
+            fx = sx - x0
+            fy = sy - y0
+            x1 = x0 + 1 if x0 + 1 < w else w - 1
+            y1 = y0 + 1 if y0 + 1 < h else h - 1
+            top = (1.0 - fx) * src[y0, x0] + fx * src[y0, x1]
+            bot = (1.0 - fx) * src[y1, x0] + fx * src[y1, x1]
+            out[yy, xx] = (1.0 - fy) * top + fy * bot
+            valid[yy, xx] = True
+    return out, valid
+
+
+def loop_warp_nearest(mask, wx, wy, wz, f, cx, cy):
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=np.bool_)
+    for yy in range(h):
+        yb = yy - cy
+        for xx in range(w):
+            xb = xx - cx
+            u = (-xb * yb / f) * wx + (f + xb * xb / f) * wy - yb * wz
+            v = (-f - yb * yb / f) * wx + (xb * yb / f) * wy + xb * wz
+            sx = xx + u
+            sy = yy + v
+            if sx < 0.0 or sx > w - 1 or sy < 0.0 or sy > h - 1:
+                continue
+            ix = int(np.floor(sx + 0.5))
+            iy = int(np.floor(sy + 0.5))
+            if ix > w - 1:
+                ix = w - 1
+            if iy > h - 1:
+                iy = h - 1
+            out[yy, xx] = mask[iy, ix]
+    return out
+
+
+def loop_lk_terms(warped, valid, obs, f, cx, cy, skip):
+    h, w = warped.shape
+    hess = np.zeros((3, 3))
+    grad = np.zeros(3)
+    sse = 0.0
+    count = 0
+    for yy in range(skip, h - skip):
+        for xx in range(skip, w - skip):
+            if not valid[yy, xx]:
+                continue
+            if 0 < xx < w - 1:
+                if not (valid[yy, xx - 1] and valid[yy, xx + 1]):
+                    continue
+                gx = (warped[yy, xx + 1] - warped[yy, xx - 1]) * 0.5
+            elif xx == 0:
+                if not valid[yy, 1]:
+                    continue
+                gx = warped[yy, 1] - warped[yy, 0]
+            else:
+                if not valid[yy, w - 2]:
+                    continue
+                gx = warped[yy, w - 1] - warped[yy, w - 2]
+            if 0 < yy < h - 1:
+                if not (valid[yy - 1, xx] and valid[yy + 1, xx]):
+                    continue
+                gy = (warped[yy + 1, xx] - warped[yy - 1, xx]) * 0.5
+            elif yy == 0:
+                if not valid[1, xx]:
+                    continue
+                gy = warped[1, xx] - warped[0, xx]
+            else:
+                if not valid[h - 2, xx]:
+                    continue
+                gy = warped[h - 1, xx] - warped[h - 2, xx]
+            xb = xx - cx
+            yb = yy - cy
+            jx = gx * (-xb * yb / f) + gy * (-f - yb * yb / f)
+            jy = gx * (f + xb * xb / f) + gy * (xb * yb / f)
+            jz = gx * (-yb) + gy * xb
+            r = warped[yy, xx] - obs[yy, xx]
+            hess[0, 0] += jx * jx
+            hess[0, 1] += jx * jy
+            hess[0, 2] += jx * jz
+            hess[1, 1] += jy * jy
+            hess[1, 2] += jy * jz
+            hess[2, 2] += jz * jz
+            grad[0] += jx * r
+            grad[1] += jy * r
+            grad[2] += jz * r
+            sse += r * r
+            count += 1
+    hess[1, 0] = hess[0, 1]
+    hess[2, 0] = hess[0, 2]
+    hess[2, 1] = hess[1, 2]
+    return hess, grad, sse, count
+
+
+def loop_masked_sse(warped, valid, obs, skip):
+    h, w = warped.shape
+    sse = 0.0
+    count = 0
+    for yy in range(skip, h - skip):
+        for xx in range(skip, w - skip):
+            if not valid[yy, xx]:
+                continue
+            r = warped[yy, xx] - obs[yy, xx]
+            sse += r * r
+            count += 1
+    return sse, count
+
+
 def naive_similarity(a, b, max_shift=2):
     """Descriptor similarity by explicit per-cell overlap loops."""
     if a.is_zero or b.is_zero:

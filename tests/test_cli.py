@@ -77,8 +77,8 @@ def test_align_corrupt_frame(mini_pair, tmp_path, capsys):
     assert code == 2
 
 
-def test_align_frame_size_mismatch_fails_processing(mini_pair, tmp_path,
-                                                    capsys):
+def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
+                                                   capsys):
     obs = tmp_path / "obs"
     obs.mkdir()
     rng = np.random.default_rng(80)
@@ -87,8 +87,25 @@ def test_align_frame_size_mismatch_fails_processing(mini_pair, tmp_path,
     code = main(["align", str(mini_pair.ref), str(obs), str(tmp_path / "out"),
                  "--config", str(mini_pair.root / "scene.cfg"),
                  "--lag", "0", "--window", "1"])
-    assert code == 3
-    assert "processing failed" in capsys.readouterr().err
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,config_line", [
+    (["--band", "abc"], ""),
+    ([], "beta=0\n"),
+    ([], "downsample_factor=0\n"),
+])
+def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
+                                                   extra, config_line):
+    cfg = tmp_path / "align.cfg"
+    cfg.write_text((mini_pair.root / "scene.cfg").read_text() + "\n"
+                   + config_line)
+    code = main(["align", str(mini_pair.ref), str(mini_pair.obs),
+                 str(tmp_path / "out"), "--config", str(cfg), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_align_and_eval_round_trip(mini_pair, tmp_path, capsys):

@@ -29,6 +29,8 @@ def test_load_requires_theta_and_focal(tmp_path):
         PipelineConfig.load(_write(tmp_path, "focal_px=100\n"))
     with pytest.raises(ConfigError, match="missing required key: focal_px"):
         PipelineConfig.load(overrides={"theta": "0.7"})
+    with pytest.raises(ConfigError, match="missing required key: theta"):
+        PipelineConfig.load(overrides={"theta": "", "focal_px": "150"})
 
 
 def test_load_defaults(tmp_path):
@@ -59,6 +61,9 @@ def test_band_switches_off(tmp_path):
         assert cfg.band is None
     cfg = PipelineConfig.load(_write(tmp_path, "theta=0.7\nfocal_px=150\nband=12\n"))
     assert cfg.band == 12
+    # an empty value means the default
+    cfg = PipelineConfig.load(_write(tmp_path, "theta=0.7\nfocal_px=150\nband=\n"))
+    assert cfg.band == 30
 
 
 def test_unknown_keys_are_tolerated(tmp_path):
@@ -82,6 +87,21 @@ def test_bad_values_raise_config_error(tmp_path):
         PipelineConfig.load(_write(tmp_path, "theta=0.7\nfocal_px=banana\n"))
     with pytest.raises(ConfigError):
         PipelineConfig.load(_write(tmp_path, "theta=0.7\nfocal_px=150\nlag=2.5\n"))
+
+
+@pytest.mark.parametrize("line,key", [
+    ("band=abc", "band"),
+    ("beta=0", "beta"),
+    ("downsample_factor=0", "downsample_factor"),
+    ("pyramid_levels=0", "pyramid_levels"),
+    ("min_blob_px=-1", "min_blob_px"),
+    ("theta=nan", "theta"),
+    ("focal_px=nan", "focal_px"),
+])
+def test_bad_value_fails_at_load(tmp_path, line, key):
+    p = _write(tmp_path, f"theta=0.7\nfocal_px=150\n{line}\n")
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig.load(p)
 
 
 def test_validation_errors():

@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from helpers import textured_image
+from helpers import (loop_lk_terms, loop_masked_sse, loop_warp_bilinear,
+                     loop_warp_nearest, textured_image)
 
 from roadalign import _kernels as kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
-                                 reason="numba not importable")
 
 
 def _cases():
@@ -24,14 +18,9 @@ def _cases():
     return cases
 
 
-def test_backend_name_is_reported():
-    assert kernels.get_backend() in ("numpy", "numba")
-
-
 def test_identity_warp_copies_input():
     src = textured_image(31, (40, 50))
-    warped, valid = kernels.NUMPY_IMPL["warp_bilinear"](src, 0.0, 0.0, 0.0,
-                                                        80.0, 24.5, 19.5)
+    warped, valid = kernels.warp_bilinear(src, 0.0, 0.0, 0.0, 80.0, 24.5, 19.5)
     assert np.array_equal(warped, src)
     assert valid.all()
 
@@ -39,83 +28,55 @@ def test_identity_warp_copies_input():
 def test_nearest_half_up_tie_rounds_to_larger_index():
     # pure roll rotation: u = -(y - cy) * wz, v = (x - cx) * wz.
     # At (y=2, x=cx) with wz = 0.25 and cy = 4 the source column is
-    # exactly x + 0.5; half-up must pick column x + 1 in both backends.
+    # exactly x + 0.5; half-up must pick column x + 1.
     h = w = 9
     cx = cy = 4.0
     mask = np.zeros((h, w), dtype=bool)
     mask[2, 5] = True
-    out_np = kernels.NUMPY_IMPL["warp_nearest"](mask, 0.0, 0.0, 0.25,
-                                                100.0, cx, cy)
-    assert out_np[2, 4]
-    if kernels.HAS_NUMBA:
-        out_nb = kernels.NUMBA_IMPL["warp_nearest"](mask, 0.0, 0.0, 0.25,
-                                                    100.0, cx, cy)
-        assert np.array_equal(out_np, out_nb)
+    out = kernels.warp_nearest(mask, 0.0, 0.0, 0.25, 100.0, cx, cy)
+    assert out[2, 4]
+    assert np.array_equal(out, loop_warp_nearest(mask, 0.0, 0.0, 0.25,
+                                                 100.0, cx, cy))
 
 
-@needs_numba
 def test_warp_bilinear_backends_agree():
     for src, wx, wy, wz, f, cx, cy in _cases():
-        w_np, v_np = kernels.NUMPY_IMPL["warp_bilinear"](src, wx, wy, wz, f, cx, cy)
-        w_nb, v_nb = kernels.NUMBA_IMPL["warp_bilinear"](src, wx, wy, wz, f, cx, cy)
-        assert np.array_equal(v_np, v_nb)
-        assert np.allclose(w_np, w_nb, atol=1e-13, rtol=0.0)
+        w_np, v_np = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        w_lp, v_lp = loop_warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        assert np.array_equal(v_np, v_lp)
+        assert np.allclose(w_np, w_lp, atol=1e-13, rtol=0.0)
 
 
-@needs_numba
 def test_warp_nearest_backends_agree():
     rng = np.random.default_rng(32)
     for src, wx, wy, wz, f, cx, cy in _cases():
         mask = rng.random(src.shape) > 0.5
-        m_np = kernels.NUMPY_IMPL["warp_nearest"](mask, wx, wy, wz, f, cx, cy)
-        m_nb = kernels.NUMBA_IMPL["warp_nearest"](mask, wx, wy, wz, f, cx, cy)
-        assert np.array_equal(m_np, m_nb)
+        m_np = kernels.warp_nearest(mask, wx, wy, wz, f, cx, cy)
+        m_lp = loop_warp_nearest(mask, wx, wy, wz, f, cx, cy)
+        assert np.array_equal(m_np, m_lp)
 
 
-@needs_numba
 @pytest.mark.parametrize("skip", [0, 2])
 def test_lk_terms_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape)
-        warped, valid = kernels.NUMPY_IMPL["warp_bilinear"](src, wx, wy, wz,
-                                                            f, cx, cy)
-        h_np, g_np, s_np, n_np = kernels.NUMPY_IMPL["lk_terms"](
-            warped, valid, obs, f, cx, cy, skip)
-        h_nb, g_nb, s_nb, n_nb = kernels.NUMBA_IMPL["lk_terms"](
-            warped, valid, obs, f, cx, cy, skip)
-        assert n_np == n_nb
-        assert np.allclose(h_np, h_nb, rtol=1e-10, atol=1e-12)
-        assert np.allclose(g_np, g_nb, rtol=1e-10, atol=1e-12)
-        assert s_np == pytest.approx(s_nb, rel=1e-10)
+        warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        h_np, g_np, s_np, n_np = kernels.lk_terms(warped, valid, obs,
+                                                  f, cx, cy, skip)
+        h_lp, g_lp, s_lp, n_lp = loop_lk_terms(warped, valid, obs,
+                                               f, cx, cy, skip)
+        assert n_np == n_lp
+        assert np.allclose(h_np, h_lp, rtol=1e-10, atol=1e-12)
+        assert np.allclose(g_np, g_lp, rtol=1e-10, atol=1e-12)
+        assert s_np == pytest.approx(s_lp, rel=1e-10)
 
 
-@needs_numba
 @pytest.mark.parametrize("skip", [0, 2])
 def test_masked_sse_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(78, src.shape)
-        warped, valid = kernels.NUMPY_IMPL["warp_bilinear"](src, wx, wy, wz,
-                                                            f, cx, cy)
-        s_np, n_np = kernels.NUMPY_IMPL["masked_sse"](warped, valid, obs, skip)
-        s_nb, n_nb = kernels.NUMBA_IMPL["masked_sse"](warped, valid, obs, skip)
-        assert n_np == n_nb
-        assert s_np == pytest.approx(s_nb, rel=1e-10)
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    env["ROADALIGN_BACKEND"] = value
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from roadalign._kernels import get_backend; print(get_backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess("numpy") == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba_backend():
-    assert _backend_in_subprocess("numba") == "numba"
+        warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        s_np, n_np = kernels.masked_sse(warped, valid, obs, skip)
+        s_lp, n_lp = loop_masked_sse(warped, valid, obs, skip)
+        assert n_np == n_lp
+        assert s_np == pytest.approx(s_lp, rel=1e-10)

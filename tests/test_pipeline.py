@@ -6,7 +6,8 @@ import pytest
 
 from roadalign.config import PipelineConfig
 from roadalign.errors import DataError
-from roadalign.imagecore import load_mask, save_image_rgb, save_mask
+from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
+                                 save_mask)
 from roadalign.invariant import InvariantDirection
 from roadalign.pipeline import (SYNC_HEADER, AlignRow, convert_frame,
                                 list_frames, list_masks, load_reference,
@@ -148,7 +149,8 @@ def test_run_groundtruth_masks_every_frame(mini_pair, mini_cfg, tmp_path,
     with caplog.at_level("WARNING"):
         rows = run_groundtruth(mini_pair.ref, mini_pair.obs, tmp_path / "gt",
                                mini_cfg)
-    assert "candidate band ignored" in caplog.text
+    # the default band of 30 applies to align only and draws no warning
+    assert "band" not in caplog.text
     assert len(rows) == 14
     assert [r.observed_index for r in rows] == list(range(14))
     labels = [r.label for r in rows]
@@ -158,6 +160,20 @@ def test_run_groundtruth_masks_every_frame(mini_pair, mini_cfg, tmp_path,
     assert np.abs(np.array(labels) - truth_labels).mean() <= 1.0
     for t in range(14):
         assert (tmp_path / "gt" / f"mask_{t:06d}.pgm").exists()
+
+
+@pytest.mark.parametrize("run", [run_align, run_groundtruth])
+def test_frame_size_mismatch_is_a_data_error(run, mini_pair, mini_cfg,
+                                             tmp_path):
+    # the observed ride is 96 px wide, the reference ride 80 px
+    obs = tmp_path / "obs"
+    obs.mkdir()
+    for _, path in list_frames(mini_pair.obs):
+        wide = np.pad(load_image(path), ((0, 0), (8, 8), (0, 0)), mode="edge")
+        save_image_rgb(wide, obs / path.name)
+    with pytest.raises(DataError, match=r"frame_000000\.ppm: frame is 96x60"):
+        run(mini_pair.ref, obs, tmp_path / "out", mini_cfg)
+    assert not list((tmp_path / "out").glob("mask_*.pgm"))
 
 
 def test_run_eval_identity_and_outputs(mini_pair, tmp_path):

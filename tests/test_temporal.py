@@ -10,8 +10,7 @@ from roadalign.errors import SyncLossError
 from roadalign.temporal import (ObservationWindow, OnlineSynchronizer,
                                 SyncConfig, SyncEmission, SyncResult,
                                 brute_force_map, build_likelihood_table,
-                                fixed_lag_infer, map_sequence,
-                                synchronize_online, transition_prior)
+                                fixed_lag_infer, map_sequence)
 
 PARAMS = DescriptorParams(smooth_sigma=1.5, downsample_factor=8, max_shift=2)
 
@@ -23,18 +22,6 @@ def _frames(count, start=0, step=1, shape=(60, 80)):
 
 def _descriptors(frames):
     return [compute_descriptor(f, PARAMS) for f in frames]
-
-
-# --- transition prior -------------------------------------------------------
-
-def test_transition_prior_monotone_rule():
-    assert transition_prior(5, 5, 2.0) == 2.0
-    assert transition_prior(6, 5, 2.0) == 2.0
-    assert transition_prior(3, 5, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        transition_prior(0, 1, 1.0)
-    with pytest.raises(ValueError):
-        transition_prior(9, 1, 1.0, n_r=8)
 
 
 # --- config and window ------------------------------------------------------
@@ -313,9 +300,6 @@ def test_sync_result_invariants():
         r.append(SyncEmission(3, 4, 0.1))
     with pytest.raises(ValueError):
         r.append(SyncEmission(4, 2, 0.1))
-    lines = list(r.csv_lines())
-    assert lines[0] == "observed_index,reference_label,score"
-    assert lines[1] == "0,1,0.5"
 
 
 # --- online synchronizer ----------------------------------------------------
@@ -447,14 +431,18 @@ def test_online_validates_reference_count():
         OnlineSynchronizer(ref, SyncConfig(label_count_nr=9), PARAMS)
 
 
+def _stream(count, ref):
+    """Push the first `count` of ref's frames; return the sync result."""
+    sync = OnlineSynchronizer(
+        ref, SyncConfig(label_count_nr=8, lag_l=2, window_L=4), PARAMS)
+    for d in ref[:count]:
+        sync.push(d)
+    return sync.result
+
+
 def test_synchronize_online_stream():
-    frames = _frames(8)
-    result = synchronize_online(
-        frames, _descriptors(frames),
-        SyncConfig(label_count_nr=8, lag_l=2, window_L=4), PARAMS)
+    ref = _descriptors(_frames(8))
+    result = _stream(8, ref)
     assert [e.observed_index for e in result.emitted] == list(range(6))
     assert result.labels() == list(range(1, 7))
-    short = synchronize_online(
-        frames[:2], _descriptors(frames),
-        SyncConfig(label_count_nr=8, lag_l=2, window_L=4), PARAMS)
-    assert short.emitted == []
+    assert _stream(2, ref).emitted == []
