@@ -8,6 +8,8 @@ one-sided at borders). Pixels whose gradient stencil touches an invalid
 sample are skipped.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -16,38 +18,88 @@ def get_backend():
     return "numpy"
 
 
+class FlowBasis:
+    """Coefficients of the rotation flow at coordinates (x, y).
+
+    x and y are relative to the principal point and broadcast against
+    each other. Only x*y/f needs both coordinates; the other terms keep
+    the shape of the one coordinate they depend on.
+    """
+
+    def __init__(self, x, y, f):
+        self.x = x
+        self.y = y
+        self.xy = x * y / f
+        self.fx = f + x * x / f
+        self.fy = -f - y * y / f
+
+    def flow(self, wx, wy, wz):
+        """Displacement (u, v) under the rotation (wx, wy, wz)."""
+        # in place, in the order of u = xy*-wx + fx*wy - y*wz and
+        # v = fy*wx + xy*wy + x*wz, so that the values are the same
+        u = self.xy * -wx
+        u += self.fx * wy
+        u -= self.y * wz
+        v = self.xy * wy
+        v += self.fy * wx
+        v += self.x * wz
+        return u, v
+
+
 def flow(x, y, wx, wy, wz, f):
     """Rotation flow (u, v) at coordinates (x, y) relative to the centre."""
-    u = (-x * y / f) * wx + (f + x * x / f) * wy - y * wz
-    v = (-f - y * y / f) * wx + (x * y / f) * wy + x * wz
-    return u, v
+    return FlowBasis(x, y, f).flow(wx, wy, wz)
 
 
-def _motion_grid(h, w, wx, wy, wz, f, cx, cy):
-    """Sampling positions of every pixel of an h x w frame."""
-    xi, yi = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    u, v = flow(xi - cx, yi - cy, wx, wy, wz, f)
-    return xi + u, yi + v
+@functools.lru_cache(maxsize=16)
+def pixel_grid(h, w, f, cx, cy):
+    """(columns, rows, FlowBasis) of every pixel of an h x w frame.
+
+    Columns are a length-w row and rows an h x 1 column, so that they
+    broadcast to the frame. Computed once per key and read-only.
+    """
+    cols = np.arange(w, dtype=np.float64)
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    basis = FlowBasis(cols - cx, rows - cy, f)
+    for a in (cols, rows, *vars(basis).values()):
+        a.setflags(write=False)
+    return cols, rows, basis
+
+
+def _sample_positions(h, w, wx, wy, wz, f, cx, cy):
+    """Sampling positions (sx, sy) of every pixel of an h x w frame."""
+    cols, rows, basis = pixel_grid(h, w, f, cx, cy)
+    sx, sy = basis.flow(wx, wy, wz)
+    sx += cols
+    sy += rows
+    return sx, sy
 
 
 def warp_bilinear(src, wx, wy, wz, f, cx, cy):
     """Backward-warp src with bilinear sampling; returns (warped, valid)."""
     src = np.asarray(src, dtype=np.float64)
     h, w = src.shape
-    sx, sy = _motion_grid(h, w, wx, wy, wz, f, cx, cy)
+    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    x0 = np.clip(x0.astype(np.int64), 0, w - 1)
-    y0 = np.clip(y0.astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    top = (1.0 - fx) * src[y0, x0] + fx * src[y0, x1]
-    bot = (1.0 - fx) * src[y1, x0] + fx * src[y1, x1]
-    out = (1.0 - fy) * top + fy * bot
+    ix = np.clip(x0, 0, w - 1, out=x0).astype(np.intp)
+    iy = np.clip(y0, 0, h - 1, out=y0).astype(np.intp)
+    # flat indices of the four neighbours; the far ones clamp at the edge
+    i00 = iy * w
+    i00 += ix
+    i01 = i00 + (ix < w - 1)
+    down = (iy < h - 1) * w
+    flat = src.ravel()
+    gx = 1.0 - fx
+    top = gx * flat.take(i00)
+    top += fx * flat.take(i01)
+    bot = gx * flat.take(i00 + down)
+    bot += fx * flat.take(i01 + down)
+    out = (1.0 - fy) * top
+    out += fy * bot
     out[~valid] = 0.0
     return out, valid
 
@@ -56,15 +108,19 @@ def warp_nearest(mask, wx, wy, wz, f, cx, cy):
     """Backward-warp a boolean mask with half-up nearest sampling."""
     mask = np.asarray(mask, dtype=np.bool_)
     h, w = mask.shape
-    sx, sy = _motion_grid(h, w, wx, wy, wz, f, cx, cy)
+    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    ix = np.clip(np.floor(sx + 0.5).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.floor(sy + 0.5).astype(np.int64), 0, h - 1)
-    return mask[iy, ix] & valid
+    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(np.intp)
+    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(np.intp)
+    return mask.ravel().take(iy * w + ix) & valid
 
 
-def lk_terms(warped, valid, obs, f, cx, cy, skip):
-    """Gauss-Newton terms (hess, grad, sse, count) of warped against obs."""
+def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
+    """Gauss-Newton terms (hess, grad, sse, count) of warped against obs.
+
+    `warped` and `valid` are a `warp_bilinear` result, so that the step
+    that accepted a warp reuses it.
+    """
     h, w = warped.shape
     gy, gx = np.gradient(warped)
 
@@ -83,12 +139,10 @@ def lk_terms(warped, valid, obs, f, cx, cy, skip):
         inner[skip:h - skip, skip:w - skip] = True
         ok &= inner
 
-    xs = np.arange(w, dtype=np.float64) - cx
-    ys = np.arange(h, dtype=np.float64) - cy
-    x, y = np.meshgrid(xs, ys)
-    jx = (gx * (-x * y / f) + gy * (-f - y * y / f))[ok]
-    jy = (gx * (f + x * x / f) + gy * (x * y / f))[ok]
-    jz = (gx * (-y) + gy * x)[ok]
+    _, _, b = pixel_grid(h, w, f, cx, cy)
+    jx = (gy * b.fy - gx * b.xy)[ok]
+    jy = (gx * b.fx + gy * b.xy)[ok]
+    jz = (gy * b.x - gx * b.y)[ok]
     r = (warped - obs)[ok]
 
     hess = np.empty((3, 3))
@@ -114,13 +168,7 @@ def masked_sse(warped, valid, obs, skip):
     return float((r * r).sum()), int(region.sum())
 
 
-def lk_accumulate(ref, obs, wx, wy, wz, f, cx, cy, skip):
-    """Warp ref, then return Gauss-Newton terms (hess, grad, sse, count)."""
-    warped, valid = warp_bilinear(ref, wx, wy, wz, f, cx, cy)
-    return lk_terms(warped, valid, obs, f, cx, cy, skip)
-
-
 def warp_sse(ref, obs, wx, wy, wz, f, cx, cy, skip):
-    """Warp ref and return (sum of squared residuals, pixel count)."""
+    """Warp ref; return (sum of squared residuals, pixel count, warped, valid)."""
     warped, valid = warp_bilinear(ref, wx, wy, wz, f, cx, cy)
-    return masked_sse(warped, valid, obs, skip)
+    return (*masked_sse(warped, valid, obs, skip), warped, valid)

@@ -123,11 +123,12 @@ def ssd_objective(reference_frame, observed_frame, omega, intrinsics, border_ski
 
     Returns (sse, pixel count) over valid pixels inside the border skip.
     """
-    return _kernels.warp_sse(
+    sse, n, _, _ = _kernels.warp_sse(
         reference_frame, observed_frame,
         omega.omega_x, omega.omega_y, omega.omega_z,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
     )
+    return sse, n
 
 
 def ssd_gradient(reference_frame, observed_frame, omega, intrinsics, border_skip=2):
@@ -137,20 +138,19 @@ def ssd_gradient(reference_frame, observed_frame, omega, intrinsics, border_skip
     omega = 0 and degrades gracefully nearby. The pixel set matches
     `ssd_objective` whenever the whole skip region warps validly.
     """
+    warped, valid = warp_image(reference_frame, omega, intrinsics)
     _, grad, _, _ = _kernels.lk_accumulate(
-        reference_frame, observed_frame,
-        omega.omega_x, omega.omega_y, omega.omega_z,
+        warped, valid, observed_frame,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
     )
     return 2.0 * grad
 
 
 def _mse(ref, obs, omega_arr, f, cx, cy, skip):
-    sse, n = _kernels.warp_sse(ref, obs, omega_arr[0], omega_arr[1],
-                               omega_arr[2], f, cx, cy, skip)
-    if n == 0:
-        return math.inf, 0
-    return sse / n, n
+    """(mean squared residual, count, warped, valid) of ref warped by omega."""
+    sse, n, warped, valid = _kernels.warp_sse(
+        ref, obs, omega_arr[0], omega_arr[1], omega_arr[2], f, cx, cy, skip)
+    return (sse / n if n else math.inf), n, warped, valid
 
 
 def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=None):
@@ -183,13 +183,13 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
         r_img = pyr_ref[level]
         o_img = pyr_obs[level]
         f, cx, cy = k.focal_px, k.cx, k.cy
-        mse, n = _mse(r_img, o_img, omega, f, cx, cy, skip)
+        mse, n, warped, valid = _mse(r_img, o_img, omega, f, cx, cy, skip)
         if n < MIN_PIXELS:
             raise AlignmentError("too few valid pixels for alignment")
         for _ in range(settings.max_iterations):
+            # the warp at omega is the one that accepted omega
             hess, grad, _, n_acc = _kernels.lk_accumulate(
-                r_img, o_img, omega[0], omega[1], omega[2], f, cx, cy, skip
-            )
+                warped, valid, o_img, f, cx, cy, skip)
             if n_acc < MIN_PIXELS:
                 raise AlignmentError("too few valid pixels for alignment")
             try:
@@ -203,10 +203,11 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
             accepted = False
             for _ in range(MAX_STEP_HALVINGS + 1):
                 candidate = omega + delta
-                cand_mse, cand_n = _mse(r_img, o_img, candidate, f, cx, cy, skip)
+                cand_mse, cand_n, cand_warped, cand_valid = _mse(
+                    r_img, o_img, candidate, f, cx, cy, skip)
                 if cand_n >= MIN_PIXELS and cand_mse <= mse:
-                    omega = candidate
-                    mse = cand_mse
+                    omega, mse = candidate, cand_mse
+                    warped, valid = cand_warped, cand_valid
                     accepted = True
                     break
                 delta = delta / 2.0

@@ -56,13 +56,32 @@ def test_warp_nearest_backends_agree():
         assert np.array_equal(m_np, m_lp)
 
 
+def test_warps_with_interleaved_intrinsics_of_one_shape():
+    # the per-frame grid is cached; two cameras on one frame size must not
+    # share it
+    rng = np.random.default_rng(33)
+    src = textured_image(34, (45, 60))
+    mask = rng.random(src.shape) > 0.5
+    cameras = [(70.0, 29.5, 22.0), (90.0, 31.0, 20.0)]
+    for _ in range(2):
+        for f, cx, cy in cameras:
+            wx, wy, wz = 0.01, -0.02, 0.015
+            w_np, v_np = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+            w_lp, v_lp = loop_warp_bilinear(src, wx, wy, wz, f, cx, cy)
+            assert np.array_equal(w_np, w_lp)
+            assert np.array_equal(v_np, v_lp)
+            assert np.array_equal(
+                kernels.warp_nearest(mask, wx, wy, wz, f, cx, cy),
+                loop_warp_nearest(mask, wx, wy, wz, f, cx, cy))
+
+
 @pytest.mark.parametrize("skip", [0, 2])
 def test_lk_terms_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
-        h_np, g_np, s_np, n_np = kernels.lk_terms(warped, valid, obs,
-                                                  f, cx, cy, skip)
+        h_np, g_np, s_np, n_np = kernels.lk_accumulate(warped, valid, obs,
+                                                       f, cx, cy, skip)
         h_lp, g_lp, s_lp, n_lp = loop_lk_terms(warped, valid, obs,
                                                f, cx, cy, skip)
         assert n_np == n_lp
