@@ -19,6 +19,8 @@ from .imagecore import build_pyramid
 MAX_ROTATION = 0.35  # radians; beyond this the small-angle model is meaningless
 MIN_PIXELS = 16
 MAX_STEP_HALVINGS = 8
+# pixels; a level ends once a rotation step moves no pixel this far
+MIN_STEP_PX = 0.003
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,6 @@ class CameraIntrinsics:
 class LKSettings:
     pyramid_levels: int = 3
     max_iterations: int = 50
-    convergence_eps: float = 1e-7
     robust_skip: int = 2
 
     def __post_init__(self):
@@ -78,8 +79,6 @@ class LKSettings:
             raise ValueError("pyramid_levels must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.convergence_eps > 0:
-            raise ValueError("convergence_eps must be positive")
         if self.robust_skip < 0:
             raise ValueError("robust_skip must be non-negative")
 
@@ -153,13 +152,30 @@ def _mse(ref, obs, omega_arr, f, cx, cy, skip):
     return (sse / n if n else math.inf), n, warped, valid
 
 
+def _step_bound(intrinsics, shape):
+    """2 x 3 matrix B with (|u|, |v|) <= B @ |step| at every pixel.
+
+    (u, v) is the displacement that a rotation step makes at one pixel
+    of a frame of `shape`. Every flow coefficient grows with |x| and |y|,
+    so their values at the corner farthest from the principal point
+    bound them.
+    """
+    h, w = shape
+    k = intrinsics
+    corner = _kernels.FlowBasis(max(abs(k.cx), abs(w - 1 - k.cx)),
+                                max(abs(k.cy), abs(h - 1 - k.cy)), k.focal_px)
+    return np.array([[corner.xy, corner.fx, corner.y],
+                     [-corner.fy, corner.xy, corner.x]])
+
+
 def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=None):
     """Estimate the rotation aligning reference onto observed.
 
     Coarse-to-fine Gauss-Newton over the three angles. Each candidate
     step must not increase the mean squared residual; on increase the
     step is halved up to 8 times, after which the level ends. A level
-    also ends once the accepted step norm drops below convergence_eps.
+    also ends after an accepted step, or at a halved step, that moves no
+    pixel of the level by MIN_STEP_PX or more.
 
     Returns (RotationParams, mean squared residual on the finest level).
     Raises AlignmentError on singular normal equations, non-finite
@@ -183,6 +199,7 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
         r_img = pyr_ref[level]
         o_img = pyr_obs[level]
         f, cx, cy = k.focal_px, k.cx, k.cy
+        bound = _step_bound(k, r_img.shape)
         mse, n, warped, valid = _mse(r_img, o_img, omega, f, cx, cy, skip)
         if n < MIN_PIXELS:
             raise AlignmentError("too few valid pixels for alignment")
@@ -201,7 +218,10 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
             if not np.all(np.isfinite(delta)):
                 raise AlignmentError("non-finite update step")
             accepted = False
-            for _ in range(MAX_STEP_HALVINGS + 1):
+            for halving in range(MAX_STEP_HALVINGS + 1):
+                step_px = max(bound @ np.abs(delta))
+                if halving and step_px < MIN_STEP_PX:
+                    break
                 candidate = omega + delta
                 cand_mse, cand_n, cand_warped, cand_valid = _mse(
                     r_img, o_img, candidate, f, cx, cy, skip)
@@ -211,9 +231,7 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
                     accepted = True
                     break
                 delta = delta / 2.0
-            if not accepted:
-                break
-            if np.linalg.norm(delta) < settings.convergence_eps:
+            if not accepted or step_px < MIN_STEP_PX:
                 break
 
     if not math.isfinite(mse):

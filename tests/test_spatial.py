@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import textured_image
 
+from roadalign import _kernels
 from roadalign.errors import AlignmentError
 from roadalign.spatial import (CameraIntrinsics, LKSettings, RotationParams,
                                lk_align, motion_field, ssd_gradient,
@@ -37,8 +38,6 @@ def test_lk_settings_validation():
         LKSettings(pyramid_levels=0)
     with pytest.raises(ValueError):
         LKSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        LKSettings(convergence_eps=0.0)
     with pytest.raises(ValueError):
         LKSettings(robust_skip=-1)
 
@@ -125,6 +124,36 @@ def test_lk_align_accepts_warm_start():
     obs, _ = warp_image(ref, omega_true, INTR)
     est, _ = lk_align(ref, obs, INTR, init=RotationParams(0.003, 0.002, 0.0))
     assert np.abs(est.as_array() - omega_true.as_array()).max() <= 2e-4
+
+
+def test_lk_align_warps_each_candidate_once(monkeypatch):
+    # pinned counts; a solver that warps again for every Gauss-Newton step
+    # and halves each level's last step down to 1e-7 rad makes 191
+    # warp_sse calls on these five pairs
+    warp_bilinear, warp_sse = _kernels.warp_bilinear, _kernels.warp_sse
+    calls = {"warp_bilinear": 0, "warp_sse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "warp_bilinear",
+                        counted("warp_bilinear", warp_bilinear))
+    monkeypatch.setattr(_kernels, "warp_sse", counted("warp_sse", warp_sse))
+    rng = np.random.default_rng(505)
+    counts = []
+    for trial in range(5):
+        ref = textured_image(7000 + trial)
+        obs, _ = warp_image(ref, RotationParams(*rng.uniform(-0.01, 0.01, 3)),
+                            INTR)
+        calls.update(warp_bilinear=0, warp_sse=0)
+        lk_align(ref, obs, INTR)
+        assert calls["warp_bilinear"] == calls["warp_sse"]
+        counts.append(calls["warp_sse"])
+    assert counts == [16, 17, 17, 19, 18]
+    assert sum(counts) <= 191 // 2
 
 
 def test_lk_align_rejects_textureless_frames():
