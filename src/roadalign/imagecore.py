@@ -69,6 +69,21 @@ def _parse_pnm_header(data):
     return magic, width, height, maxval, i + 1
 
 
+def read_image_size(path):
+    """(height, width) of a binary PGM or PPM file, from its header alone."""
+    data = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1024)
+            data += chunk
+            try:
+                _, width, height, _, _ = _parse_pnm_header(data)
+                return height, width
+            except MalformedHeaderError:
+                if not chunk:  # the header is malformed, not just unread
+                    raise
+
+
 def load_image(path):
     """Load a binary PGM (P5) or PPM (P6) file.
 

@@ -17,7 +17,8 @@ from .descriptor import DescriptorBank, compute_descriptor
 from .errors import AlignmentError, DataError, SyncLossError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
-from .imagecore import load_image, load_mask, rgb_to_gray, save_mask
+from .imagecore import (load_image, load_mask, read_image_size, rgb_to_gray,
+                        save_mask)
 from .invariant import InvariantDirection, rgb_to_invariant
 from .spatial import RotationParams, lk_align, warp_mask
 from .temporal import SyncConfig, build_likelihood_table, map_sequence
@@ -65,6 +66,13 @@ def convert_frame(img, space, direction):
     return rgb_to_gray(img) if img.ndim == 3 else img
 
 
+def _check_size(path, size, shape):
+    """DataError unless a frame's (rows, columns) `size` equals `shape`."""
+    if size != shape:
+        raise DataError(f"{path}: frame is {size[1]}x{size[0]}, "
+                        f"reference frames are {shape[1]}x{shape[0]}")
+
+
 def _load_frame(path, cfg, direction, shape=None):
     """Load one frame as its (feature, diff) image pair.
 
@@ -73,9 +81,8 @@ def _load_frame(path, cfg, direction, shape=None):
     DataError.
     """
     img = load_image(path)
-    if shape is not None and img.shape[:2] != shape:
-        raise DataError(f"{path}: frame is {img.shape[1]}x{img.shape[0]}, "
-                        f"reference frames are {shape[1]}x{shape[0]}")
+    if shape is not None:
+        _check_size(path, img.shape[:2], shape)
     feat = convert_frame(img, cfg.feature_space, direction)
     if cfg.diff_space == cfg.feature_space:
         return feat, feat
@@ -158,6 +165,8 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     index, which also names t in sync.csv; frame numbers may start above
     0 and have gaps. The trailing lag frames get no mask. Sync losses
     and registration failures skip the frame and the stream continues.
+    Every observed frame's size is checked against the reference before
+    the first one is pushed, so a wrong-sized frame writes no output.
     `on_emit(index, emission)` runs as each label is emitted, with the
     on-disk index of the frame just pushed; `emission.observed_index`
     counts pushed frames from 0.
@@ -170,11 +179,14 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     shape = ref.feature[0].shape
     intrinsics = cfg.intrinsics(shape[1], shape[0])
     sync = OnlineSynchronizer(ref.bank, cfg.sync_config(len(ref.bank)), params)
+    indexed = list_frames(obs_dir)
+    for _, path in indexed:
+        _check_size(path, read_image_size(path), shape)
 
     rows = []
     pending = {}  # push position -> (on-disk index, feature, diff image)
     losses = 0
-    for position, (t, path) in enumerate(list_frames(obs_dir)):
+    for position, (t, path) in enumerate(indexed):
         feat, obs_diff = _load_frame(path, cfg, direction, shape)
         pending[position] = (t, feat, obs_diff)
         try:

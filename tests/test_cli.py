@@ -91,6 +91,24 @@ def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
     assert "error: " in capsys.readouterr().err
 
 
+def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
+                                                     capsys):
+    # frame 10 of 14 is 96 px wide, the others 80 px
+    obs = tmp_path / "obs"
+    obs.mkdir()
+    for path in sorted(mini_pair.obs.glob("frame_*.ppm")):
+        (obs / path.name).write_bytes(path.read_bytes())
+    wide = np.pad(load_image(obs / "frame_000010.ppm"), ((0, 0), (8, 8), (0, 0)),
+                  mode="edge")
+    save_image_rgb(wide, obs / "frame_000010.ppm")
+    out = tmp_path / "out"
+    code = main(["align", str(mini_pair.ref), str(obs), str(out),
+                 "--config", str(mini_pair.root / "scene.cfg")])
+    assert code == 2
+    assert "frame_000010.ppm: frame is 96x60" in capsys.readouterr().err
+    assert not list(out.glob("mask_*.pgm"))
+
+
 @pytest.mark.parametrize("extra,config_line", [
     (["--band", "abc"], ""),
     ([], "beta=0\n"),

@@ -8,8 +8,8 @@ from roadalign.errors import (MalformedHeaderError, TruncatedPayloadError,
                               UnsupportedMaxvalError)
 from roadalign.imagecore import (RGB_FLOOR, build_pyramid, downsample,
                                  gaussian_kernel, gaussian_smooth, gradient,
-                                 load_image, load_mask, rgb_to_gray,
-                                 save_image_rgb, save_mask)
+                                 load_image, load_mask, read_image_size,
+                                 rgb_to_gray, save_image_rgb, save_mask)
 
 
 def test_load_gray_maps_by_255(tmp_path):
@@ -36,6 +36,18 @@ def test_header_comments_tolerated(tmp_path):
     img = load_image(p)
     assert img.shape == (1, 2)
     assert np.allclose(img.ravel(), [7 / 255, 9 / 255])
+
+
+def test_read_image_size_reads_the_header_only(tmp_path):
+    p = tmp_path / "a.ppm"
+    # a comment longer than one read, and no payload at all
+    p.write_bytes(b"P6\n# " + b"x" * 2000 + b"\n640 480\n255\n")
+    assert read_image_size(p) == (480, 640)
+    with pytest.raises(TruncatedPayloadError):
+        load_image(p)
+    p.write_bytes(b"P6\n640 480\n255")
+    with pytest.raises(MalformedHeaderError):
+        read_image_size(p)
 
 
 @pytest.mark.parametrize("header", [b"P4\n2 2\n255\n", b"P7\n2 2\n255\n",
