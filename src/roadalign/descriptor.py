@@ -2,9 +2,11 @@
 
 A descriptor is the pair of gradient grids of a smoothed, heavily
 downsampled frame, floored where the gradient magnitude is weak and
-normalized to unit length as one stacked vector. Similarity is the best
-renormalized inner product over small integer grid shifts, which buys
-tolerance to small viewpoint offsets.
+normalized to unit length as one stacked vector. The similarity of two
+descriptors is the best cosine of the two stacked gradient vectors
+restricted to their overlapping cells, over small integer grid shifts,
+which buys tolerance to small viewpoint offsets. It lies in [-1, 1]; a
+zero descriptor scores 0 against anything.
 """
 
 import math
@@ -90,44 +92,19 @@ def compute_descriptor(img, params=DescriptorParams()):
     return Descriptor.from_gradients(dx, dy)
 
 
-def _overlap_slices(h, w, u, v):
-    ys0, ys1 = max(0, v), h + min(0, v)
-    xs0, xs1 = max(0, u), w + min(0, u)
-    return ys0, ys1, xs0, xs1
+def _shift_windows(h, w, max_shift):
+    """(v, u, ys0, ys1, xs0, xs1) of each shift with a non-empty overlap.
 
-
-def similarity(a, b, max_shift=2):
-    """Best renormalized inner product of b shifted against a.
-
-    Each integer shift (u, v) with |u|, |v| <= max_shift is scored by the
-    cosine of the two stacked gradient vectors restricted to the
-    overlapping cells; the maximum is returned. The value lies in [-1, 1];
-    a zero descriptor scores 0 against anything.
+    Shift (u, v) pairs cell (y, x) of the probe with cell (y - v, x - u)
+    of a bank member; rows ys0:ys1 and columns xs0:xs1 are the probe's
+    overlapping cells.
     """
-    if a.shape != b.shape:
-        raise ValueError("descriptor shapes differ")
-    if a.is_zero or b.is_zero:
-        return 0.0
-    h, w = a.shape
-    best = -math.inf
     for v in range(-max_shift, max_shift + 1):
         for u in range(-max_shift, max_shift + 1):
-            ys0, ys1, xs0, xs1 = _overlap_slices(h, w, u, v)
-            if ys0 >= ys1 or xs0 >= xs1:
-                continue
-            adx = a.dx[ys0:ys1, xs0:xs1]
-            ady = a.dy[ys0:ys1, xs0:xs1]
-            bdx = b.dx[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            bdy = b.dy[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            dot = float((adx * bdx).sum() + (ady * bdy).sum())
-            na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
-            nb = math.sqrt(float((bdx * bdx).sum() + (bdy * bdy).sum()))
-            score = dot / (na * nb) if na > 0.0 and nb > 0.0 else 0.0
-            if score > best:
-                best = score
-    if best == -math.inf:
-        return 0.0
-    return min(1.0, max(-1.0, best))
+            ys0, ys1 = max(0, v), h + min(0, v)
+            xs0, xs1 = max(0, u), w + min(0, u)
+            if ys0 < ys1 and xs0 < xs1:
+                yield v, u, ys0, ys1, xs0, xs1
 
 
 class DescriptorBank:
@@ -143,6 +120,7 @@ class DescriptorBank:
                 raise ValueError("descriptor shapes differ")
         self.dx = np.stack([d.dx for d in descriptors])
         self.dy = np.stack([d.dy for d in descriptors])
+        self._shift_norms = {}
 
     def __len__(self):
         return self.dx.shape[0]
@@ -151,14 +129,32 @@ class DescriptorBank:
     def grid_shape(self):
         return self.dx.shape[1:]
 
+    def shift_norms(self, max_shift):
+        """Norm of every member over the overlap of each shift.
+
+        Shape (shifts, members), with the shifts in `_shift_windows`
+        order. The norms do not depend on the probe, so they are
+        computed once per max_shift.
+        """
+        norms = self._shift_norms.get(max_shift)
+        if norms is None:
+            h, w = self.grid_shape
+            per_shift = []
+            for v, u, ys0, ys1, xs0, xs1 in _shift_windows(h, w, max_shift):
+                bdx = self.dx[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+                bdy = self.dy[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+                per_shift.append(np.sqrt((bdx * bdx).sum(axis=(1, 2))
+                                         + (bdy * bdy).sum(axis=(1, 2))))
+            norms = self._shift_norms[max_shift] = np.array(per_shift)
+        return norms
+
 
 def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
-    """Vector of similarity(d, bank[i]) for i in range(start, stop).
+    """Vector of the similarity of d to bank[i] for i in range(start, stop).
 
-    Matches the scalar `similarity` exactly; used to score one observed
-    frame against a contiguous stretch of the reference ride at once
-    (the whole ride by default). Each entry is the same whichever range
-    it is scored in.
+    Scores one observed frame against a contiguous stretch of the
+    reference ride at once (the whole ride by default). Each entry is
+    the same whichever range it is scored in.
     """
     if d.shape != bank.grid_shape:
         raise ValueError("descriptor shapes differ")
@@ -169,22 +165,19 @@ def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
     if d.is_zero:
         return np.zeros(n)
     h, w = d.shape
+    norms = bank.shift_norms(max_shift)[:, start:stop]
     best = np.full(n, -np.inf)
-    for v in range(-max_shift, max_shift + 1):
-        for u in range(-max_shift, max_shift + 1):
-            ys0, ys1, xs0, xs1 = _overlap_slices(h, w, u, v)
-            if ys0 >= ys1 or xs0 >= xs1:
-                continue
-            adx = d.dx[ys0:ys1, xs0:xs1]
-            ady = d.dy[ys0:ys1, xs0:xs1]
-            bdx = bank.dx[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            bdy = bank.dy[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            dot = np.einsum("ij,nij->n", adx, bdx) + np.einsum("ij,nij->n", ady, bdy)
-            na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
-            nb = np.sqrt((bdx * bdx).sum(axis=(1, 2)) + (bdy * bdy).sum(axis=(1, 2)))
-            ok = (na > 0.0) & (nb > 0.0)
-            score = np.where(ok, dot / np.where(ok, na * nb, 1.0), 0.0)
-            best = np.maximum(best, score)
+    for nb, (v, u, ys0, ys1, xs0, xs1) in zip(
+            norms, _shift_windows(h, w, max_shift)):
+        adx = d.dx[ys0:ys1, xs0:xs1]
+        ady = d.dy[ys0:ys1, xs0:xs1]
+        bdx = bank.dx[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+        bdy = bank.dy[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+        dot = np.einsum("ij,nij->n", adx, bdx) + np.einsum("ij,nij->n", ady, bdy)
+        na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
+        ok = (na > 0.0) & (nb > 0.0)
+        score = np.where(ok, dot / np.where(ok, na * nb, 1.0), 0.0)
+        best = np.maximum(best, score)
     best[best == -np.inf] = 0.0
     return np.clip(best, -1.0, 1.0)
 
@@ -197,7 +190,3 @@ def likelihood_from_similarity(sim, params=DescriptorParams()):
         return float(out)
     return out
 
-
-def observation_likelihood(a, b, params=DescriptorParams()):
-    """Observation density of descriptor a against reference descriptor b."""
-    return likelihood_from_similarity(similarity(a, b, params.max_shift), params)

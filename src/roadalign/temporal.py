@@ -12,7 +12,6 @@ the past, so every frame's answer arrives with a fixed small latency.
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -23,10 +22,6 @@ from .descriptor import (
     similarity_to_bank,
 )
 from .errors import SyncLossError
-
-BRUTE_FORCE_MAX_ROWS = 6
-BRUTE_FORCE_MAX_LABELS = 8
-
 
 @dataclass(frozen=True)
 class SyncConfig:
@@ -244,26 +239,6 @@ def map_sequence(table, cfg):
     for k in range(rows - 2, -1, -1):
         labels[k] = pointers[k][labels[k + 1]]
     return labels + 1
-
-
-def brute_force_map(table, cfg):
-    """Exhaustive MAP oracle over all non-decreasing label sequences.
-
-    Only meant for small instances: at most 6 rows and 8 labels. Ties
-    resolve to the lexicographically smallest sequence. Returns 1-based
-    labels.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    rows, n = table.shape
-    if rows > BRUTE_FORCE_MAX_ROWS or n > BRUTE_FORCE_MAX_LABELS:
-        raise ValueError("instance too large for the brute-force oracle")
-    seqs = np.array(list(combinations_with_replacement(range(n), rows)))
-    with np.errstate(divide="ignore"):
-        lt = np.log(table)
-    totals = lt[np.arange(rows), seqs].sum(axis=1)
-    totals += (rows - 1) * math.log(cfg.beta) - math.log(n)
-    best = int(np.argmax(totals))  # first max = lexicographically smallest
-    return [int(x) + 1 for x in seqs[best]]
 
 
 @dataclass(frozen=True)

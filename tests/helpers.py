@@ -11,7 +11,8 @@ from collections import deque
 
 import numpy as np
 
-from roadalign.descriptor import (DescriptorBank, likelihood_from_similarity,
+from roadalign.descriptor import (DescriptorBank, DescriptorParams,
+                                  likelihood_from_similarity,
                                   similarity_to_bank)
 from roadalign.errors import SyncLossError
 from roadalign.imagecore import gaussian_smooth
@@ -23,6 +24,27 @@ def textured_image(seed, shape=(120, 160)):
     rng = np.random.default_rng(seed)
     img = gaussian_smooth(rng.random(shape), 3.0)
     return (img - img.min()) / (img.max() - img.min())
+
+
+def brute_force_map(table, cfg):
+    """Exhaustive MAP oracle over all non-decreasing label sequences.
+
+    Only meant for small instances: at most 6 rows and 8 labels. Ties
+    resolve to the lexicographically smallest sequence. Returns 1-based
+    labels.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    rows, n = table.shape
+    if rows > 6 or n > 8:
+        raise ValueError("instance too large for the brute-force oracle")
+    seqs = np.array(list(itertools.combinations_with_replacement(range(n),
+                                                                 rows)))
+    with np.errstate(divide="ignore"):
+        lt = np.log(table)
+    totals = lt[np.arange(rows), seqs].sum(axis=1)
+    totals += (rows - 1) * math.log(cfg.beta) - math.log(n)
+    best = int(np.argmax(totals))  # first max = lexicographically smallest
+    return [int(x) + 1 for x in seqs[best]]
 
 
 def naive_monotone_best(table, beta):
@@ -240,6 +262,46 @@ def loop_masked_sse(warped, valid, obs, skip):
             sse += r * r
             count += 1
     return sse, count
+
+
+def similarity(a, b, max_shift=2):
+    """Best renormalized inner product of b shifted against a.
+
+    Each integer shift (u, v) with |u|, |v| <= max_shift is scored by the
+    cosine of the two stacked gradient vectors restricted to the
+    overlapping cells; the maximum is returned. The value lies in [-1, 1];
+    a zero descriptor scores 0 against anything.
+    """
+    if a.shape != b.shape:
+        raise ValueError("descriptor shapes differ")
+    if a.is_zero or b.is_zero:
+        return 0.0
+    h, w = a.shape
+    best = -math.inf
+    for v in range(-max_shift, max_shift + 1):
+        for u in range(-max_shift, max_shift + 1):
+            ys0, ys1 = max(0, v), h + min(0, v)
+            xs0, xs1 = max(0, u), w + min(0, u)
+            if ys0 >= ys1 or xs0 >= xs1:
+                continue
+            adx = a.dx[ys0:ys1, xs0:xs1]
+            ady = a.dy[ys0:ys1, xs0:xs1]
+            bdx = b.dx[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            bdy = b.dy[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            dot = float((adx * bdx).sum() + (ady * bdy).sum())
+            na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
+            nb = math.sqrt(float((bdx * bdx).sum() + (bdy * bdy).sum()))
+            score = dot / (na * nb) if na > 0.0 and nb > 0.0 else 0.0
+            if score > best:
+                best = score
+    if best == -math.inf:
+        return 0.0
+    return min(1.0, max(-1.0, best))
+
+
+def observation_likelihood(a, b, params=DescriptorParams()):
+    """Observation density of descriptor a against reference descriptor b."""
+    return likelihood_from_similarity(similarity(a, b, params.max_shift), params)
 
 
 def naive_similarity(a, b, max_shift=2):

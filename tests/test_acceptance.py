@@ -21,10 +21,10 @@ from roadalign.spatial import (CameraIntrinsics, RotationParams, lk_align,
                                ssd_gradient, ssd_objective, warp_image,
                                warp_mask)
 from roadalign.synth import RideSpec, SceneSpec, make_pair
-from roadalign.temporal import SyncConfig, brute_force_map, fixed_lag_infer
+from roadalign.temporal import SyncConfig, fixed_lag_infer
 from roadalign.transfer import otsu_threshold
 
-from helpers import naive_otsu, textured_image
+from helpers import brute_force_map, naive_otsu, textured_image
 
 
 def _report(num, name, ok, detail):

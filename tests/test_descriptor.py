@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from helpers import naive_similarity, textured_image
+from helpers import (naive_similarity, observation_likelihood, similarity,
+                     textured_image)
 
 from roadalign.descriptor import (Descriptor, DescriptorBank,
                                   DescriptorParams, compute_descriptor,
                                   likelihood_from_similarity,
-                                  observation_likelihood, similarity,
                                   similarity_to_bank)
 
 

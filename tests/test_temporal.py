@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from helpers import (RebuildingSynchronizer, loop_map_sequence,
-                     naive_monotone_best, textured_image)
+from helpers import (RebuildingSynchronizer, brute_force_map,
+                     loop_map_sequence, naive_monotone_best, textured_image)
 
 from roadalign import temporal
 from roadalign.descriptor import (DescriptorBank, DescriptorParams,
@@ -9,8 +9,8 @@ from roadalign.descriptor import (DescriptorBank, DescriptorParams,
 from roadalign.errors import SyncLossError
 from roadalign.temporal import (ObservationWindow, OnlineSynchronizer,
                                 SyncConfig, SyncEmission, SyncResult,
-                                brute_force_map, build_likelihood_table,
-                                fixed_lag_infer, map_sequence)
+                                build_likelihood_table, fixed_lag_infer,
+                                map_sequence)
 
 PARAMS = DescriptorParams(smooth_sigma=1.5, downsample_factor=8, max_shift=2)
 
