@@ -46,11 +46,6 @@ class FlowBasis:
         return u, v
 
 
-def flow(x, y, wx, wy, wz, f):
-    """Rotation flow (u, v) at coordinates (x, y) relative to the centre."""
-    return FlowBasis(x, y, f).flow(wx, wy, wz)
-
-
 @functools.lru_cache(maxsize=16)
 def pixel_grid(h, w, f, cx, cy):
     """(columns, rows, FlowBasis) of every pixel of an h x w frame.

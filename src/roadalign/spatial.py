@@ -91,8 +91,8 @@ def motion_field(x, y, omega, intrinsics):
     """
     xb = np.asarray(x, dtype=np.float64) - intrinsics.cx
     yb = np.asarray(y, dtype=np.float64) - intrinsics.cy
-    return _kernels.flow(xb, yb, omega.omega_x, omega.omega_y, omega.omega_z,
-                         intrinsics.focal_px)
+    return _kernels.FlowBasis(xb, yb, intrinsics.focal_px).flow(
+        omega.omega_x, omega.omega_y, omega.omega_z)
 
 
 def warp_image(src, omega, intrinsics):
