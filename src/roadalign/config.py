@@ -132,9 +132,8 @@ class PipelineConfig:
     def descriptor_params(self):
         return self._settings(DescriptorParams)
 
-    def sync_config(self, label_count):
+    def sync_config(self):
         return SyncConfig(
-            label_count_nr=label_count,
             lag_l=self.lag,
             window_L=self.window,
             beta=self.beta,

@@ -69,16 +69,20 @@ def _parse_pnm_header(data):
     return magic, width, height, maxval, i + 1
 
 
-def read_image_size(path):
-    """(height, width) of a binary PGM or PPM file, from its header alone."""
+def read_image_shape(path):
+    """Shape `load_image` gives a binary PGM or PPM file, from its header.
+
+    That is (height, width) for a gray P5 file and (height, width, 3)
+    for a color P6 file.
+    """
     data = b""
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(1024)
             data += chunk
             try:
-                _, width, height, _, _ = _parse_pnm_header(data)
-                return height, width
+                magic, width, height, _, _ = _parse_pnm_header(data)
+                return (height, width) if magic == "P5" else (height, width, 3)
             except MalformedHeaderError:
                 if not chunk:  # the header is malformed, not just unread
                     raise

@@ -2,12 +2,14 @@
 
 Frame directories hold frame_%06d.ppm images and, for the reference
 ride, mask_%06d.pgm road annotations. Labels are 1-based; reference
-label x corresponds to the 0-based reference frame index x - 1.
+label x names the x-th reference frame in on-disk order, whatever its
+frame number.
 """
 
 import logging
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from .descriptor import DescriptorBank, compute_descriptor
 from .errors import AlignmentError, DataError, SyncLossError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
-from .imagecore import (load_image, load_mask, read_image_size, rgb_to_gray,
+from .imagecore import (load_image, load_mask, read_image_shape, rgb_to_gray,
                         save_mask)
 from .invariant import InvariantDirection, rgb_to_invariant
 from .spatial import RotationParams, lk_align, warp_mask
@@ -66,23 +68,28 @@ def convert_frame(img, space, direction):
     return rgb_to_gray(img) if img.ndim == 3 else img
 
 
-def _check_size(path, size, shape):
-    """DataError unless a frame's (rows, columns) `size` equals `shape`."""
-    if size != shape:
-        raise DataError(f"{path}: frame is {size[1]}x{size[0]}, "
+def _check_frame(path, frame_shape, shape, cfg):
+    """DataError unless a frame of `frame_shape`, as loaded, suits the run.
+
+    Its (rows, columns) must equal `shape` when one is given, and it
+    must be a color frame when either working space is invariant.
+    """
+    if shape is not None and frame_shape[:2] != shape:
+        raise DataError(f"{path}: frame is {frame_shape[1]}x{frame_shape[0]}, "
                         f"reference frames are {shape[1]}x{shape[0]}")
+    if len(frame_shape) != 3 and "invariant" in (cfg.feature_space,
+                                                  cfg.diff_space):
+        raise DataError(f"{path}: invariant space requires color frames")
 
 
 def _load_frame(path, cfg, direction, shape=None):
     """Load one frame as its (feature, diff) image pair.
 
     The diff image is the feature image itself when both spaces agree.
-    A frame whose size differs from `shape` (rows, columns) is a
-    DataError.
+    A frame that fails `_check_frame` is a DataError.
     """
     img = load_image(path)
-    if shape is not None:
-        _check_size(path, img.shape[:2], shape)
+    _check_frame(path, img.shape, shape, cfg)
     feat = convert_frame(img, cfg.feature_space, direction)
     if cfg.diff_space == cfg.feature_space:
         return feat, feat
@@ -165,8 +172,9 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     index, which also names t in sync.csv; frame numbers may start above
     0 and have gaps. The trailing lag frames get no mask. Sync losses
     and registration failures skip the frame and the stream continues.
-    Every observed frame's size is checked against the reference before
-    the first one is pushed, so a wrong-sized frame writes no output.
+    Every observed frame's header is checked (size against the reference,
+    color when a space is invariant) before the first one is pushed, so
+    a frame that fails writes no output.
     `on_emit(index, emission)` runs as each label is emitted, with the
     on-disk index of the frame just pushed; `emission.observed_index`
     counts pushed frames from 0.
@@ -178,17 +186,19 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     params = cfg.descriptor_params()
     shape = ref.feature[0].shape
     intrinsics = cfg.intrinsics(shape[1], shape[0])
-    sync = OnlineSynchronizer(ref.bank, cfg.sync_config(len(ref.bank)), params)
+    sync = OnlineSynchronizer(ref.bank, cfg.sync_config(), params)
     indexed = list_frames(obs_dir)
     for _, path in indexed:
-        _check_size(path, read_image_size(path), shape)
+        _check_frame(path, read_image_shape(path), shape, cfg)
 
     rows = []
-    pending = {}  # push position -> (on-disk index, feature, diff image)
+    # (on-disk index, feature, diff image) of the last lag + 1 pushes; an
+    # emission names the oldest
+    pending = deque(maxlen=cfg.lag + 1)
     losses = 0
-    for position, (t, path) in enumerate(indexed):
+    for t, path in indexed:
         feat, obs_diff = _load_frame(path, cfg, direction, shape)
-        pending[position] = (t, feat, obs_diff)
+        pending.append((t, feat, obs_diff))
         try:
             emission = sync.push(compute_descriptor(feat, params))
         except SyncLossError as exc:
@@ -198,15 +208,13 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
         if emission is not None:
             if on_emit is not None:
                 on_emit(t, emission)
-            index, obs_feat, diff_img = pending[emission.observed_index]
+            index, obs_feat, diff_img = pending[0]
             omega, residual, mask = _register_and_transfer(
                 ref, obs_feat, diff_img, emission.label, cfg, intrinsics,
                 refine)
             save_mask(mask, out / f"mask_{index:06d}.pgm")
             rows.append(AlignRow(index, emission.label, emission.score, omega,
                                  residual))
-        for k in [k for k in pending if k <= position - cfg.lag]:
-            del pending[k]
     _write_sync_csv(out, rows)
     if losses:
         logger.warning("%d frame(s) skipped due to sync loss", losses)
@@ -232,9 +240,8 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
                          for _, path in indexed))
 
-    full_cfg = SyncConfig(label_count_nr=len(ref.bank), lag_l=0,
-                          window_L=max(len(feats) - 1, 0), beta=cfg.beta,
-                          candidate_band=None)
+    full_cfg = SyncConfig(lag_l=0, window_L=max(len(feats) - 1, 0),
+                          beta=cfg.beta, candidate_band=None)
     descs = [compute_descriptor(f, params) for f in feats]
     table = build_likelihood_table(descs, ref.bank, full_cfg, params)
     labels = map_sequence(table, full_cfg)

@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from roadalign.descriptor import (DescriptorBank, DescriptorParams,
+from roadalign.descriptor import (DescriptorParams,
                                   likelihood_from_similarity,
                                   similarity_to_bank)
 from roadalign.errors import SyncLossError
@@ -110,8 +110,8 @@ class RebuildingSynchronizer:
     emission, and runs fixed-lag inference on that table.
     """
 
-    def __init__(self, reference_descriptors, cfg, params):
-        self._bank = DescriptorBank(reference_descriptors)
+    def __init__(self, bank, cfg, params):
+        self._bank = bank
         self._cfg = cfg
         self._params = params
         self._window = deque(maxlen=cfg.window_L + 1)
@@ -131,7 +131,7 @@ class RebuildingSynchronizer:
                 self._params)
             for d in self._window])
         if cfg.candidate_band is not None and self._last_label is not None:
-            labels = np.arange(1, cfg.label_count_nr + 1)
+            labels = np.arange(1, len(self._bank) + 1)
             table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = 0.0
         label, score = fixed_lag_infer(table, cfg,
                                        min_label=self._last_label or 1)

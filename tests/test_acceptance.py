@@ -103,7 +103,7 @@ def test_criterion_01_fixed_lag_matches_brute_force():
         rows = int(rng.integers(1, 6))
         lag = int(rng.integers(0, 5))
         table = rng.uniform(0.05, 1.0, size=(rows, n))
-        cfg = SyncConfig(label_count_nr=n, lag_l=lag,
+        cfg = SyncConfig(lag_l=lag,
                          window_L=max(lag, rows - 1, 1),
                          beta=float(rng.uniform(0.5, 1.5)))
         label, _ = fixed_lag_infer(table, cfg)

@@ -61,11 +61,15 @@ def test_align_needs_theta(mini_pair, tmp_path, capsys):
 
 
 def test_align_missing_observed_directory(mini_pair, tmp_path, capsys):
-    code = main(["align", str(mini_pair.ref), str(tmp_path / "empty"),
-                 str(tmp_path / "out"),
-                 "--config", str(mini_pair.root / "scene.cfg")])
-    assert code == 2
-    assert "not a directory" in capsys.readouterr().err
+    (tmp_path / "empty").mkdir()
+    for obs, message in [("absent", "not a directory"),
+                         ("empty", "no frame files")]:
+        code = main(["align", str(mini_pair.ref), str(tmp_path / obs),
+                     str(tmp_path / "out"),
+                     "--config", str(mini_pair.root / "scene.cfg")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
 
 
 def test_align_corrupt_frame(mini_pair, tmp_path, capsys):
@@ -91,22 +95,37 @@ def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
     assert "error: " in capsys.readouterr().err
 
 
+def _write_gray(img, path):
+    """Write a color frame's mean as a binary PGM (P5) frame."""
+    h, w, _ = img.shape
+    pixels = np.round(img.mean(axis=2) * 255).astype(np.uint8)
+    path.write_bytes(f"P5\n{w} {h}\n255\n".encode() + pixels.tobytes())
+
+
 def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
                                                      capsys):
-    # frame 10 of 14 is 96 px wide, the others 80 px
-    obs = tmp_path / "obs"
-    obs.mkdir()
-    for path in sorted(mini_pair.obs.glob("frame_*.ppm")):
-        (obs / path.name).write_bytes(path.read_bytes())
-    wide = np.pad(load_image(obs / "frame_000010.ppm"), ((0, 0), (8, 8), (0, 0)),
-                  mode="edge")
-    save_image_rgb(wide, obs / "frame_000010.ppm")
-    out = tmp_path / "out"
-    code = main(["align", str(mini_pair.ref), str(obs), str(out),
-                 "--config", str(mini_pair.root / "scene.cfg")])
-    assert code == 2
-    assert "frame_000010.ppm: frame is 96x60" in capsys.readouterr().err
-    assert not list(out.glob("mask_*.pgm"))
+    # frame 10 of 14 is 96 px wide (the others 80 px), or gray, which the
+    # invariant space cannot use
+    cases = {
+        "wide": (lambda img, path: save_image_rgb(
+            np.pad(img, ((0, 0), (8, 8), (0, 0)), mode="edge"), path),
+            "frame_000010.ppm: frame is 96x60"),
+        "gray": (_write_gray,
+                 "frame_000010.ppm: invariant space requires color frames"),
+    }
+    for name, (rewrite, message) in cases.items():
+        obs = tmp_path / name / "obs"
+        obs.mkdir(parents=True)
+        for path in sorted(mini_pair.obs.glob("frame_*.ppm")):
+            (obs / path.name).write_bytes(path.read_bytes())
+        rewrite(load_image(obs / "frame_000010.ppm"), obs / "frame_000010.ppm")
+        out = tmp_path / name / "out"
+        code = main(["align", str(mini_pair.ref), str(obs), str(out),
+                     "--config", str(mini_pair.root / "scene.cfg")])
+        assert code == 2, name
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("mask_*.pgm")), name
+        assert not (out / "sync.csv").exists(), name
 
 
 @pytest.mark.parametrize("extra,config_line", [

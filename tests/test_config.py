@@ -128,8 +128,7 @@ def test_factories_propagate_values():
     assert params.smooth_sigma == 1.5
     assert params.downsample_factor == 8
     assert params.max_shift == 1
-    sync = cfg.sync_config(40)
-    assert sync.label_count_nr == 40
+    sync = cfg.sync_config()
     assert sync.lag_l == 3
     assert sync.window_L == 7
     assert sync.beta == 1.5

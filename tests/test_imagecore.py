@@ -8,7 +8,7 @@ from roadalign.errors import (MalformedHeaderError, TruncatedPayloadError,
                               UnsupportedMaxvalError)
 from roadalign.imagecore import (RGB_FLOOR, build_pyramid, downsample,
                                  gaussian_kernel, gaussian_smooth, gradient,
-                                 load_image, load_mask, read_image_size,
+                                 load_image, load_mask, read_image_shape,
                                  rgb_to_gray, save_image_rgb, save_mask)
 
 
@@ -42,12 +42,15 @@ def test_read_image_size_reads_the_header_only(tmp_path):
     p = tmp_path / "a.ppm"
     # a comment longer than one read, and no payload at all
     p.write_bytes(b"P6\n# " + b"x" * 2000 + b"\n640 480\n255\n")
-    assert read_image_size(p) == (480, 640)
+    assert read_image_shape(p) == (480, 640, 3)
     with pytest.raises(TruncatedPayloadError):
         load_image(p)
+    # a gray frame has no channel axis, as load_image gives it
+    p.write_bytes(b"P5\n4 2\n255\n" + bytes(8))
+    assert read_image_shape(p) == load_image(p).shape == (2, 4)
     p.write_bytes(b"P6\n640 480\n255")
     with pytest.raises(MalformedHeaderError):
-        read_image_size(p)
+        read_image_shape(p)
 
 
 @pytest.mark.parametrize("header", [b"P4\n2 2\n255\n", b"P7\n2 2\n255\n",

@@ -162,6 +162,26 @@ def test_run_groundtruth_masks_every_frame(mini_pair, mini_cfg, tmp_path,
         assert (tmp_path / "gt" / f"mask_{t:06d}.pgm").exists()
 
 
+def test_run_align_reference_numbered_from_100_with_a_gap(mini_pair, mini_cfg,
+                                                         tmp_path):
+    # reference frame k is frame_<100 + k>, and frame_000105 is absent;
+    # labels name frames by on-disk order, so nothing else changes
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for k in range(18):
+        name = 100 + k + (k >= 5)
+        for kind, ext in (("frame", "ppm"), ("mask", "pgm")):
+            shutil.copy(mini_pair.ref / f"{kind}_{k:06d}.{ext}",
+                        ref / f"{kind}_{name:06d}.{ext}")
+    run_align(mini_pair.ref, mini_pair.obs, tmp_path / "base", mini_cfg)
+    rows = run_align(ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert len(rows) == 14 - mini_cfg.lag
+    for name in ["sync.csv"] + [f"mask_{r.observed_index:06d}.pgm"
+                                for r in rows]:
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "base" / name).read_bytes())
+
+
 @pytest.mark.parametrize("run", [run_align, run_groundtruth])
 def test_frame_size_mismatch_is_a_data_error(run, mini_pair, mini_cfg,
                                              tmp_path):
