@@ -4,6 +4,12 @@ Images are plain numpy arrays: grayscale frames are float64 ``(h, w)`` grids
 with values in [0, 1], color frames are float64 ``(h, w, 3)`` grids, and
 masks are boolean ``(h, w)`` grids where True marks road. A pyramid is a
 list of grayscale arrays, finest level first.
+
+Gaussian smoothing is a numpy line filter run down the columns and then
+along the rows: each line is edge-replicated by the kernel radius r, and
+an output sample is x[i] k[r] plus (x[i - j] + x[i + j]) k[r - j] added
+for j = r down to 1. That is the order in which scipy.ndimage sums an odd
+symmetric kernel, so both give the same bits.
 """
 
 import logging
@@ -11,7 +17,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     MalformedHeaderError,
@@ -34,8 +39,9 @@ def _parse_pnm_header(data):
     """Return (magic, width, height, maxval, payload_offset).
 
     Comments starting with ``#`` are tolerated anywhere between header
-    tokens. Exactly one whitespace byte separates the maxval from the
-    binary payload.
+    tokens. Width, height and maxval are written in ASCII digits only
+    (no sign, no underscore). Exactly one whitespace byte separates the
+    maxval from the binary payload.
     """
     n = len(data)
     tokens = []
@@ -58,10 +64,12 @@ def _parse_pnm_header(data):
     magic = tokens[0].decode("ascii", errors="replace")
     if magic not in ("P5", "P6"):
         raise MalformedHeaderError(f"unsupported magic {magic!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise MalformedHeaderError("non-numeric header field")
     try:
         width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise MalformedHeaderError("non-numeric header field") from None
+    except ValueError:  # more digits than int() converts
+        raise MalformedHeaderError("header field too long") from None
     if width <= 0 or height <= 0:
         raise MalformedHeaderError("non-positive image dimensions")
     if maxval != 255:
@@ -120,8 +128,7 @@ def load_mask(path):
 
 def save_mask(mask, path):
     """Write a boolean mask as binary PGM, road pixels as 255."""
-    mask = np.asarray(mask, dtype=bool)
-    payload = np.where(mask, 255, 0).astype(np.uint8)
+    payload = np.asarray(mask, dtype=bool).astype(np.uint8) * np.uint8(255)
     _write_pnm(path, "P5", payload)
 
 
@@ -166,8 +173,31 @@ def gaussian_smooth(img, sigma):
     """
     arr = np.asarray(img, dtype=np.float64)
     kernel = gaussian_kernel(sigma)
-    out = ndimage.convolve1d(arr, kernel, axis=0, mode="nearest")
-    return ndimage.convolve1d(out, kernel, axis=1, mode="nearest")
+    return _filter_lines(_filter_lines(arr, kernel, 0), kernel, 1)
+
+
+def _filter_lines(arr, kernel, axis):
+    """Correlate every line of `arr` along `axis` with a symmetric kernel.
+
+    Each line is extended by the kernel radius at both ends with copies
+    of its end samples, which also serves lines shorter than the radius.
+    The result is C-contiguous, as scipy's is, so that later reductions
+    over it add in the same order.
+    """
+    r = len(kernel) // 2
+    lines = arr.swapaxes(0, axis)
+    n = len(lines)
+    padded = np.empty((n + 2 * r,) + lines.shape[1:])
+    padded[r:r + n] = lines
+    padded[:r] = lines[0]
+    padded[r + n:] = lines[-1]
+    out = padded[r:r + n] * kernel[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
+        pair *= kernel[r - j]
+        out += pair
+    return np.ascontiguousarray(out.swapaxes(0, axis))
 
 
 def downsample(img, factor):

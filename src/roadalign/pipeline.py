@@ -164,6 +164,23 @@ def _write_sync_csv(out_dir, rows):
     (Path(out_dir) / "sync.csv").write_text("\n".join(lines) + "\n")
 
 
+def _open_run(ref_dir, obs_dir, out_dir, cfg):
+    """The observed frames, the reference ride and the output directory.
+
+    The observed frames are listed first, then the reference is loaded,
+    then every observed frame's header is checked (size against the
+    reference, color when a space is invariant). The output directory is
+    made only when all of that passed.
+    """
+    indexed = list_frames(obs_dir)
+    ref = load_reference(ref_dir, cfg)
+    for _, path in indexed:
+        _check_frame(path, read_image_shape(path), ref.feature[0].shape, cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return indexed, ref, out
+
+
 def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     """On-line mode: stream observed frames with a fixed lag.
 
@@ -172,24 +189,20 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     index, which also names t in sync.csv; frame numbers may start above
     0 and have gaps. The trailing lag frames get no mask. Sync losses
     and registration failures skip the frame and the stream continues.
-    Every observed frame's header is checked (size against the reference,
-    color when a space is invariant) before the first one is pushed, so
-    a frame that fails writes no output.
+    The observed frames are listed before the reference is loaded, and
+    every one's header is checked (size against the reference, color
+    when a space is invariant) before out_dir is made, so bad input
+    writes no output.
     `on_emit(index, emission)` runs as each label is emitted, with the
     on-disk index of the frame just pushed; `emission.observed_index`
     counts pushed frames from 0.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ref = load_reference(ref_dir, cfg)
+    indexed, ref, out = _open_run(ref_dir, obs_dir, out_dir, cfg)
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
     shape = ref.feature[0].shape
     intrinsics = cfg.intrinsics(shape[1], shape[0])
     sync = OnlineSynchronizer(ref.bank, cfg.sync_config(), params)
-    indexed = list_frames(obs_dir)
-    for _, path in indexed:
-        _check_frame(path, read_image_shape(path), shape, cfg)
 
     rows = []
     # (on-disk index, feature, diff image) of the last lag + 1 pushes; an
@@ -226,16 +239,14 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
 
     The label window spans the full observed ride, so there is no lag
     and no candidate band; `cfg.band` applies to `run_align` only.
+    Inputs are checked as in `run_align` before out_dir is made.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ref = load_reference(ref_dir, cfg)
+    indexed, ref, out = _open_run(ref_dir, obs_dir, out_dir, cfg)
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
     shape = ref.feature[0].shape
     intrinsics = cfg.intrinsics(shape[1], shape[0])
 
-    indexed = list_frames(obs_dir)
     # every frame is loaded before any is described or registered
     feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
                          for _, path in indexed))

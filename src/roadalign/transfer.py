@@ -5,19 +5,21 @@ pixels that disagree with the warped reference appearance (vehicles,
 pedestrians, anything that moved) are detected by thresholding the
 absolute difference image and removed from the mask. Refinement only
 ever removes pixels.
+
+Connected components are found on runs, the maximal stretches of set
+pixels in a row. A run joins the runs of the row above that share a
+column with it (4-connectivity) or also touch it diagonally
+(8-connectivity); these pairs come from `searchsorted` over the runs'
+starts and stops. The pairs are merged by hooking each root onto the
+smaller of the two roots, with pointer jumping, until every pair shares
+a root.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .spatial import warp_image, warp_mask
-
-_STRUCTURES = {
-    4: ndimage.generate_binary_structure(2, 1),
-    8: np.ones((3, 3), dtype=bool),
-}
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,60 @@ def otsu_threshold(img, bins=256):
     return k / bins
 
 
+def _components(mask, connectivity):
+    """Runs of True in `mask` and the connected component of each run.
+
+    Returns the runs' rows, starts and stops (exclusive), in row order,
+    and for each run the index of its component's first run.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    h, w = mask.shape
+    edged = np.zeros((h, w + 2), dtype=bool)
+    edged[:, 1:-1] = mask
+    rows, cols = np.nonzero(edged[:, 1:] != edged[:, :-1])
+    rows, starts, stops = rows[::2], cols[::2], cols[1::2]
+    # keys order runs by row, then column; a row's keys never reach the next
+    stride = w + 2
+    reach = int(connectivity == 8)
+    above = (rows - 1) * stride
+    first = np.searchsorted(rows * stride + stops, above + starts - reach,
+                            side="right")
+    last = np.searchsorted(rows * stride + starts, above + stops + reach)
+    count = np.maximum(last - first, 0)
+    root = np.arange(len(rows))
+    # run a[p] touches run b[p] of the row above
+    a = np.repeat(root, count)
+    b = np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return rows, starts, stops, root
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while (root[root] != root).any():
+            root = root[root]
+
+
+def _paint(shape, rows, starts, stops):
+    """Boolean image of the given runs."""
+    h, w = shape
+    edges = np.zeros((h, w + 1), dtype=np.int8)
+    edges[rows, starts] = 1
+    edges[rows, stops] = -1
+    return np.cumsum(edges, axis=1, dtype=np.int8)[:, :w].astype(bool)
+
+
 def fill_holes(mask, connectivity=4):
     """Fill background regions not connected to the image border."""
     mask = np.asarray(mask, dtype=bool)
-    structure = _STRUCTURES[connectivity]
-    labels, _ = ndimage.label(~mask, structure=structure)
-    border = np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]
-    ])
-    border_labels = np.unique(border[border != 0])
-    holes = ~mask & ~np.isin(labels, border_labels)
-    return mask | holes
+    h, w = mask.shape
+    rows, starts, stops, root = _components(~mask, connectivity)
+    on_border = (rows == 0) | (rows == h - 1) | (starts == 0) | (stops == w)
+    outside = np.zeros(len(rows), dtype=bool)
+    outside[root[on_border]] = True
+    hole = ~outside[root]
+    return mask | _paint(mask.shape, rows[hole], starts[hole], stops[hole])
 
 
 def remove_small_components(mask, min_px, connectivity=4):
@@ -86,11 +131,10 @@ def remove_small_components(mask, min_px, connectivity=4):
     mask = np.asarray(mask, dtype=bool)
     if min_px <= 1 or not mask.any():
         return mask.copy()
-    labels, count = ndimage.label(mask, structure=_STRUCTURES[connectivity])
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)
-    keep = sizes >= min_px
-    keep[0] = False
-    return keep[labels]
+    rows, starts, stops, root = _components(mask, connectivity)
+    sizes = np.bincount(root, weights=stops - starts)
+    keep = sizes[root] >= min_px
+    return _paint(mask.shape, rows[keep], starts[keep], stops[keep])
 
 
 def detect_foreground(reference_warped, observed, valid, settings=RefineSettings()):

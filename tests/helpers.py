@@ -2,7 +2,9 @@
 
 Oracles are deliberately written as plain loops with no code shared with
 the implementation, so the two can only agree by computing the same
-thing.
+thing. The smoothing and component-labeling oracles are the scipy.ndimage
+versions the package used before it dropped scipy; scipy is a test
+dependency only.
 """
 
 import itertools
@@ -10,12 +12,13 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 from roadalign.descriptor import (DescriptorParams,
                                   likelihood_from_similarity,
                                   similarity_to_bank)
 from roadalign.errors import SyncLossError
-from roadalign.imagecore import gaussian_smooth
+from roadalign.imagecore import gaussian_kernel, gaussian_smooth
 from roadalign.temporal import SyncEmission, fixed_lag_infer
 
 
@@ -365,3 +368,42 @@ def naive_downsample(img, factor):
             block = img[i * factor:(i + 1) * factor, j * factor:(j + 1) * factor]
             out[i, j] = block.mean()
     return out
+
+
+def scipy_gaussian_smooth(img, sigma):
+    """Separable Gaussian smoothing by scipy.ndimage, edges replicated."""
+    arr = np.asarray(img, dtype=np.float64)
+    kernel = gaussian_kernel(sigma)
+    out = ndimage.convolve1d(arr, kernel, axis=0, mode="nearest")
+    return ndimage.convolve1d(out, kernel, axis=1, mode="nearest")
+
+
+_STRUCTURES = {
+    4: ndimage.generate_binary_structure(2, 1),
+    8: np.ones((3, 3), dtype=bool),
+}
+
+
+def scipy_fill_holes(mask, connectivity=4):
+    """Fill background regions not connected to the image border."""
+    mask = np.asarray(mask, dtype=bool)
+    structure = _STRUCTURES[connectivity]
+    labels, _ = ndimage.label(~mask, structure=structure)
+    border = np.concatenate([
+        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]
+    ])
+    border_labels = np.unique(border[border != 0])
+    holes = ~mask & ~np.isin(labels, border_labels)
+    return mask | holes
+
+
+def scipy_remove_small_components(mask, min_px, connectivity=4):
+    """Drop connected components smaller than min_px pixels."""
+    mask = np.asarray(mask, dtype=bool)
+    if min_px <= 1 or not mask.any():
+        return mask.copy()
+    labels, count = ndimage.label(mask, structure=_STRUCTURES[connectivity])
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    keep = sizes >= min_px
+    keep[0] = False
+    return keep[labels]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roadalign import pipeline
 from roadalign.cli import main
 from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
                                  save_mask)
@@ -70,6 +71,24 @@ def test_align_missing_observed_directory(mini_pair, tmp_path, capsys):
         assert code == 2
         assert message in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["align", "groundtruth"])
+def test_empty_observed_directory_fails_before_any_load(mini_pair, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        command):
+    loads = []
+    load_reference = pipeline.load_reference
+    monkeypatch.setattr(pipeline, "load_reference",
+                        lambda *args: loads.append(args) or load_reference(*args))
+    (tmp_path / "empty").mkdir()
+    code = main([command, str(mini_pair.ref), str(tmp_path / "empty"),
+                 str(tmp_path / "out"),
+                 "--config", str(mini_pair.root / "scene.cfg")])
+    assert code == 2
+    assert "no frame files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert loads == []
 
 
 def test_align_corrupt_frame(mini_pair, tmp_path, capsys):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from helpers import naive_downsample, textured_image
+from helpers import naive_downsample, scipy_gaussian_smooth, textured_image
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roadalign.errors import (MalformedHeaderError, TruncatedPayloadError,
-                              UnsupportedMaxvalError)
-from roadalign.imagecore import (RGB_FLOOR, build_pyramid, downsample,
-                                 gaussian_kernel, gaussian_smooth, gradient,
-                                 load_image, load_mask, read_image_shape,
-                                 rgb_to_gray, save_image_rgb, save_mask)
+from roadalign.errors import (ImageFormatError, MalformedHeaderError,
+                              TruncatedPayloadError, UnsupportedMaxvalError)
+from roadalign.imagecore import (RGB_FLOOR, _parse_pnm_header, build_pyramid,
+                                 downsample, gaussian_kernel, gaussian_smooth,
+                                 gradient, load_image, load_mask,
+                                 read_image_shape, rgb_to_gray, save_image_rgb,
+                                 save_mask)
 
 
 def test_load_gray_maps_by_255(tmp_path):
@@ -88,6 +91,55 @@ def test_non_numeric_header_field(tmp_path):
     p.write_bytes(b"P5\ntwo 2\n255\n" + bytes(4))
     with pytest.raises(MalformedHeaderError):
         load_image(p)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5 8_0 60 255\n", b"P5 +80 60 255\n", b"P5 80 60 25_5\n",
+    b"P5 80 -60 255\n", b"P5 80 6.0 255\n", b"P5 0x50 60 255\n",
+    b"P5 " + b"9" * 5000 + b" 60 255\n",
+])
+def test_header_integers_are_plain_ascii_digits(header):
+    with pytest.raises(MalformedHeaderError):
+        _parse_pnm_header(header + bytes(8))
+
+
+_HEADER_BYTES = st.lists(
+    st.sampled_from([b"P5", b"P6", b"P4", b"0", b"1", b"80", b"255", b"-",
+                     b"+", b"_", b"#", b"x", b" ", b"\n", b"\r", b"\t",
+                     b"\x00", b"\xff"]),
+    max_size=24).map(b"".join)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.binary(max_size=40), _HEADER_BYTES))
+def test_header_parser_fuzz(data):
+    """Any bytes parse to a usable header or raise an ImageFormatError."""
+    try:
+        magic, width, height, maxval, offset = _parse_pnm_header(data)
+    except ImageFormatError:
+        return
+    assert magic in ("P5", "P6") and maxval == 255
+    assert width > 0 and height > 0
+    assert offset <= len(data)
+
+
+_SPACE = st.text(" \t\n\r\x0b\x0c", min_size=1, max_size=3).map(str.encode)
+_COMMENT = st.text("abc 01#", max_size=6).map(lambda t: b"#" + t.encode() + b"\n")
+
+
+@given(magic=st.sampled_from(["P5", "P6"]),
+       width=st.integers(1, 10 ** 6), height=st.integers(1, 10 ** 6),
+       gaps=st.lists(st.tuples(_SPACE, st.lists(_COMMENT, max_size=2), _SPACE),
+                     min_size=3, max_size=3),
+       last=st.sampled_from([b" ", b"\t", b"\n", b"\r"]))
+def test_valid_headers_round_trip(magic, width, height, gaps, last):
+    fields = [str(width).encode(), str(height).encode(), b"255"]
+    header = magic.encode()
+    for (before, comments, after), field in zip(gaps, fields):
+        header += before + b"".join(comments) + after + field
+    header += last
+    assert (_parse_pnm_header(header + b"\x07\x09")
+            == (magic, width, height, 255, len(header)))
 
 
 def test_non_positive_dimensions(tmp_path):
@@ -171,6 +223,16 @@ def test_gaussian_smooth_matches_direct_convolution():
     expected = np.array([(padded[i:i + len(k)] * k).sum() for i in range(9)])
     got = gaussian_smooth(row.reshape(1, -1), sigma)[0]
     assert np.allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.8, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("shape", [(1, 23), (23, 1), (1, 1), (2, 3), (5, 40),
+                                   (40, 5), (60, 80), (120, 160), (7, 11, 3)])
+def test_gaussian_smooth_equals_scipy_bit_for_bit(shape, sigma):
+    img = np.random.default_rng(sum(shape)).random(shape)
+    got = gaussian_smooth(img, sigma)
+    assert np.array_equal(got, scipy_gaussian_smooth(img, sigma))
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("shape,factor", [((7, 10), 3), ((8, 8), 4),

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import roadalign
+
+# imports the CLI, then runs both modes with refinement, in a fresh process
+_RUN_BOTH_MODES = """
+import sys
+import roadalign, roadalign.cli
+from roadalign.config import PipelineConfig
+from roadalign.pipeline import run_align, run_groundtruth
+root, out = sys.argv[1], sys.argv[2]
+cfg = PipelineConfig.load(root + "/scene.cfg")
+assert run_align(root + "/ref", root + "/obs", out + "/align", cfg, refine=True)
+assert run_groundtruth(root + "/ref", root + "/obs", out + "/gt", cfg,
+                       refine=True)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_run_imports_scipy(mini_pair, tmp_path):
+    """numpy is the only runtime dependency: scipy is for the tests alone.
+
+    A lazy scipy import would only move its cost from set-up into the
+    first frame, so the run must not load it at all.
+    """
+    src = Path(roadalign.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_BOTH_MODES, str(mini_pair.root),
+         str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from helpers import naive_otsu, textured_image
+from helpers import (naive_otsu, scipy_fill_holes,
+                     scipy_remove_small_components, textured_image)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roadalign.spatial import CameraIntrinsics, RotationParams, warp_mask
 from roadalign.transfer import (RefineSettings, detect_foreground, fill_holes,
@@ -77,6 +81,86 @@ def test_remove_small_components():
     same = remove_small_components(mask, 1)
     assert np.array_equal(same, mask)
     assert same is not mask
+
+
+def test_connectivity_must_be_4_or_8():
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[1:4, 1:4] = True
+    with pytest.raises(ValueError):
+        fill_holes(mask, 6)
+    with pytest.raises(ValueError):
+        remove_small_components(mask, 2, 6)
+
+
+def _spiral(h, w):
+    """A one-pixel wall winding inwards clockwise, one pixel between turns."""
+    mask = np.zeros((h, w), dtype=bool)
+
+    def is_set(r, c):
+        return 0 <= r < h and 0 <= c < w and mask[r, c]
+
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[0, 0] = True
+    while True:
+        for _ in range(2):  # straight on, else turn right once
+            ny, nx = y + dy, x + dx
+            if (0 <= ny < h and 0 <= nx < w and not mask[ny, nx]
+                    and not is_set(ny + dy, nx + dx)):
+                y, x = ny, nx
+                mask[y, x] = True
+                break
+            dy, dx = dx, -dy
+        else:
+            return mask
+
+
+_SIDE = st.integers(1, 40)
+
+
+@st.composite
+def _masks(draw):
+    """Random masks, all-True, all-False, checkerboards and spirals."""
+    h, w = draw(_SIDE), draw(_SIDE)
+    kind = draw(st.sampled_from(["random", "full", "empty", "checker", "spiral"]))
+    if kind == "random":
+        mask = draw(arrays(np.bool_, (h, w)))
+    elif kind == "checker":
+        cell = draw(st.integers(1, 3))
+        mask = (np.add.outer(np.arange(h) // cell, np.arange(w) // cell) % 2) == 1
+    elif kind == "spiral":
+        mask = _spiral(h, w)
+    else:
+        mask = np.full((h, w), kind == "full")
+    return ~mask if draw(st.booleans()) else mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_masks(), connectivity=st.sampled_from([4, 8]))
+def test_fill_holes_equals_scipy(mask, connectivity):
+    assert np.array_equal(fill_holes(mask, connectivity),
+                          scipy_fill_holes(mask, connectivity))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_masks(), connectivity=st.sampled_from([4, 8]),
+       min_px=st.sampled_from([0, 1, 2, 25]))
+def test_remove_small_components_equals_scipy(mask, connectivity, min_px):
+    assert np.array_equal(remove_small_components(mask, min_px, connectivity),
+                          scipy_remove_small_components(mask, min_px,
+                                                        connectivity))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_labeling_equals_scipy_on_frame_sized_masks(connectivity):
+    rng = np.random.default_rng(56)
+    for density in (0.05, 0.3, 0.5, 0.7):
+        mask = rng.random((120, 160)) < density
+        assert np.array_equal(fill_holes(mask, connectivity),
+                              scipy_fill_holes(mask, connectivity))
+        for min_px in (2, 25):
+            assert np.array_equal(
+                remove_small_components(mask, min_px, connectivity),
+                scipy_remove_small_components(mask, min_px, connectivity))
 
 
 def test_detect_foreground_finds_inserted_object():
