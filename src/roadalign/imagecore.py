@@ -232,24 +232,36 @@ def gradient(img):
     return dx, dy
 
 
+def pyramid_depth(shape, levels):
+    """Levels, at most `levels`, that `build_pyramid` builds for `shape`.
+
+    A level is built only while both sides of the next one, ceil(side / 2),
+    stay at least MIN_PYRAMID_SIDE.
+    """
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    h, w = shape[:2]
+    depth = 1
+    while depth < levels:
+        h, w = math.ceil(h / 2), math.ceil(w / 2)
+        if h < MIN_PYRAMID_SIDE or w < MIN_PYRAMID_SIDE:
+            break
+        depth += 1
+    return depth
+
+
 def build_pyramid(img, levels):
     """Coarse-to-fine pyramid: smooth (sigma 1) then halve, per level.
 
     Levels whose dimensions would drop below 16x16 are not built; the
     pyramid is then shorter than requested and the reduction is logged.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
     arr = np.asarray(img, dtype=np.float64)
+    depth = pyramid_depth(arr.shape, levels)
+    if depth < levels:
+        logger.warning("pyramid clamped to %d of %d levels for %dx%d frames",
+                       depth, levels, arr.shape[1], arr.shape[0])
     pyramid = [arr]
-    while len(pyramid) < levels:
-        h, w = pyramid[-1].shape
-        nh, nw = math.ceil(h / 2), math.ceil(w / 2)
-        if nh < MIN_PYRAMID_SIDE or nw < MIN_PYRAMID_SIDE:
-            logger.warning(
-                "pyramid clamped to %d levels (next level would be %dx%d)",
-                len(pyramid), nw, nh,
-            )
-            break
+    while len(pyramid) < depth:
         pyramid.append(downsample(gaussian_smooth(pyramid[-1], 1.0), 2))
     return pyramid

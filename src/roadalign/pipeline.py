@@ -10,7 +10,7 @@ import logging
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,14 @@ from .descriptor import DescriptorBank, compute_descriptor
 from .errors import AlignmentError, DataError, SyncLossError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
-from .imagecore import (load_image, load_mask, read_image_shape, rgb_to_gray,
-                        save_mask)
+from .imagecore import (load_image, load_mask, pyramid_depth,
+                        read_image_shape, rgb_to_gray, save_mask)
 from .invariant import InvariantDirection, rgb_to_invariant
-from .spatial import RotationParams, lk_align, warp_mask
+from .spatial import (CameraIntrinsics, LKSettings, RotationParams, lk_align,
+                      warp_mask)
 from .temporal import SyncConfig, build_likelihood_table, map_sequence
 from .temporal import OnlineSynchronizer
-from .transfer import transfer_and_refine
+from .transfer import RefineSettings, transfer_and_refine
 
 logger = logging.getLogger(__name__)
 
@@ -139,23 +140,51 @@ class AlignRow:
                 f"{self.omega.omega_z:.9g},{self.residual:.9g}")
 
 
-def _register_and_transfer(ref, obs_feat, obs_diff, label, cfg, intrinsics,
-                           refine):
-    """LK-align one matched pair and carry the road mask across."""
-    ref_feat = ref.feature[label - 1]
+@dataclass(frozen=True)
+class _Registration:
+    """A run's registration settings, worked out once from the frame size."""
+
+    intrinsics: CameraIntrinsics
+    lk: LKSettings
+    refine: RefineSettings | None  # None: the mask is warped, not refined
+
+
+def _registration(cfg, shape, refine):
+    """The settings of every registration in a run on frames of `shape`.
+
+    The pyramid is clamped to the levels that `shape` allows, with one
+    warning for the run.
+    """
+    levels = pyramid_depth(shape, cfg.pyramid_levels)
+    if levels < cfg.pyramid_levels:
+        logger.warning("pyramid clamped to %d of %d levels for %dx%d frames",
+                       levels, cfg.pyramid_levels, shape[1], shape[0])
+    return _Registration(cfg.intrinsics(shape[1], shape[0]),
+                         replace(cfg.lk_settings(), pyramid_levels=levels),
+                         cfg.refine_settings() if refine else None)
+
+
+def _register_and_transfer(ref, obs_feat, obs_diff, label, reg):
+    """LK-align one matched pair and carry the road mask across.
+
+    The refinement reuses LK's final warp of the reference frame when
+    the diff image is that frame; after an identity fallback, or with a
+    diff space of its own, it warps the diff image itself.
+    """
+    ref_feat, ref_diff = ref.feature[label - 1], ref.diff[label - 1]
     try:
-        omega, residual = lk_align(ref_feat, obs_feat, intrinsics,
-                                   cfg.lk_settings())
+        omega, residual, warp = lk_align(ref_feat, obs_feat, reg.intrinsics,
+                                         reg.lk)
     except AlignmentError as exc:
         logger.warning("registration failed (%s); falling back to identity",
                        exc)
-        omega, residual = RotationParams(), math.nan
-    if refine:
-        mask = transfer_and_refine(ref.masks[label - 1], ref.diff[label - 1],
-                                   obs_diff, omega, intrinsics,
-                                   cfg.refine_settings())
+        omega, residual, warp = RotationParams(), math.nan, None
+    if reg.refine is None:
+        mask = warp_mask(ref.masks[label - 1], omega, reg.intrinsics)
     else:
-        mask = warp_mask(ref.masks[label - 1], omega, intrinsics)
+        mask = transfer_and_refine(ref.masks[label - 1], ref_diff, obs_diff,
+                                   omega, reg.intrinsics, reg.refine,
+                                   warp if ref_diff is ref_feat else None)
     return omega, residual, mask
 
 
@@ -201,7 +230,7 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
     shape = ref.feature[0].shape
-    intrinsics = cfg.intrinsics(shape[1], shape[0])
+    reg = _registration(cfg, shape, refine)
     sync = OnlineSynchronizer(ref.bank, cfg.sync_config(), params)
 
     rows = []
@@ -223,8 +252,7 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
                 on_emit(t, emission)
             index, obs_feat, diff_img = pending[0]
             omega, residual, mask = _register_and_transfer(
-                ref, obs_feat, diff_img, emission.label, cfg, intrinsics,
-                refine)
+                ref, obs_feat, diff_img, emission.label, reg)
             save_mask(mask, out / f"mask_{index:06d}.pgm")
             rows.append(AlignRow(index, emission.label, emission.score, omega,
                                  residual))
@@ -245,7 +273,7 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
     shape = ref.feature[0].shape
-    intrinsics = cfg.intrinsics(shape[1], shape[0])
+    reg = _registration(cfg, shape, refine)
 
     # every frame is loaded before any is described or registered
     feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
@@ -261,7 +289,7 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     for (t, _), feat, diff_img, label in zip(indexed, feats, diffs, labels):
         label = int(label)
         omega, residual, mask = _register_and_transfer(
-            ref, feat, diff_img, label, cfg, intrinsics, refine)
+            ref, feat, diff_img, label, reg)
         save_mask(mask, out / f"mask_{t:06d}.pgm")
         rows.append(AlignRow(t, label, float(table[len(rows), label - 1]),
                              omega, residual))

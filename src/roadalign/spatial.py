@@ -177,7 +177,11 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
     also ends after an accepted step, or at a halved step, that moves no
     pixel of the level by MIN_STEP_PX or more.
 
-    Returns (RotationParams, mean squared residual on the finest level).
+    Returns (RotationParams, mean squared residual on the finest level,
+    (warped, valid)). The last is the finest level's warp of the
+    reference at the returned rotation, the one that accepted it; it
+    equals `warp_image(reference_frame, omega, intrinsics)`, so that
+    `transfer_and_refine` need not warp the same frame again.
     Raises AlignmentError on singular normal equations, non-finite
     values, or estimates leaving the small-rotation range.
     """
@@ -238,4 +242,4 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
         raise AlignmentError("non-finite residual")
     if np.any(np.abs(omega) >= MAX_ROTATION):
         raise AlignmentError("estimate left the small-rotation range")
-    return RotationParams(*omega), float(mse)
+    return RotationParams(*omega), float(mse), (warped, valid)

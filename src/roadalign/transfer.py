@@ -160,12 +160,18 @@ def detect_foreground(reference_warped, observed, valid, settings=RefineSettings
 
 
 def transfer_and_refine(reference_mask, reference_frame, observed_frame,
-                        omega, intrinsics, settings=RefineSettings()):
+                        omega, intrinsics, settings=RefineSettings(),
+                        warp=None):
     """Warp the reference road mask and subtract detected foreground.
 
-    The output is always a subset of the warped mask.
+    `warp`, when given, is the (warped, valid) pair of
+    `warp_image(reference_frame, omega, intrinsics)`, computed before
+    (`lk_align` returns it for its final rotation); otherwise the frame
+    is warped here. The output is always a subset of the warped mask.
     """
     transferred = warp_mask(reference_mask, omega, intrinsics)
-    warped, valid = warp_image(reference_frame, omega, intrinsics)
+    if warp is None:
+        warp = warp_image(reference_frame, omega, intrinsics)
+    warped, valid = warp
     foreground = detect_foreground(warped, observed_frame, valid, settings)
     return transferred & ~foreground

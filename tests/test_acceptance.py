@@ -159,7 +159,7 @@ def test_criterion_05_rotation_recovery_and_gradient():
         ref = textured_image(7000 + trial, (120, 160))
         omega_true = RotationParams(*rng.uniform(-0.01, 0.01, 3))
         obs, _ = warp_image(ref, omega_true, intr)
-        est, _ = lk_align(ref, obs, intr)
+        est, _, _ = lk_align(ref, obs, intr)
         worst = max(worst, float(
             np.abs(est.as_array() - omega_true.as_array()).max()))
 

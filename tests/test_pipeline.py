@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import shutil
 
 import numpy as np
 import pytest
 
+from roadalign import _kernels
 from roadalign.config import PipelineConfig
 from roadalign.errors import DataError
 from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
@@ -13,6 +15,7 @@ from roadalign.pipeline import (SYNC_HEADER, AlignRow, convert_frame,
                                 list_frames, list_masks, load_reference,
                                 run_align, run_eval, run_groundtruth)
 from roadalign.spatial import RotationParams
+from roadalign.transfer import transfer_and_refine
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +184,64 @@ def test_run_align_reference_numbered_from_100_with_a_gap(mini_pair, mini_cfg,
         assert ((tmp_path / "out" / name).read_bytes()
                 == (tmp_path / "base" / name).read_bytes())
 
+
+
+def test_clamped_pyramid_warns_once_per_run(mini_pair, mini_cfg, tmp_path,
+                                            caplog):
+    # 60x80 frames hold two pyramid levels; the scene file asks for two
+    assert mini_cfg.pyramid_levels == 2
+    deep = dataclasses.replace(mini_cfg, pyramid_levels=3)
+    with caplog.at_level("WARNING"):
+        rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "deep", deep)
+    clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
+    assert len(clamped) == 1
+    assert len(rows) == 14 - mini_cfg.lag
+    run_align(mini_pair.ref, mini_pair.obs, tmp_path / "two", mini_cfg)
+    for name in ["sync.csv"] + [f"mask_{r.observed_index:06d}.pgm"
+                                for r in rows]:
+        assert ((tmp_path / "deep" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes())
+
+
+@pytest.mark.parametrize("diff_space", ["invariant", "gray"])
+def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
+                                            diff_space):
+    # each mask is the transfer recomputed from the row's rotation with a
+    # warp of its own, whether or not LK's warp could be reused
+    cfg = dataclasses.replace(mini_cfg, diff_space=diff_space)
+    rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", cfg)
+    assert len(rows) == 14 - cfg.lag
+    ref = load_reference(mini_pair.ref, cfg)
+    direction = InvariantDirection(cfg.theta)
+    shape = ref.feature[0].shape
+    intrinsics = cfg.intrinsics(shape[1], shape[0])
+    for r in rows:
+        obs = convert_frame(
+            load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
+            diff_space, direction)
+        expected = transfer_and_refine(
+            ref.masks[r.label - 1], ref.diff[r.label - 1], obs, r.omega,
+            intrinsics, cfg.refine_settings())
+        mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
+        assert np.array_equal(mask, expected)
+
+
+def test_align_warps_each_reference_frame_once_per_candidate(
+        mini_pair, mini_cfg, tmp_path, monkeypatch):
+    # the refinement takes LK's final warp instead of warping again
+    calls = {"warp_bilinear": 0, "warp_sse": 0}
+    for name in calls:
+        fn = getattr(_kernels, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert all(not math.isnan(r.residual) for r in rows)  # no fallback
+    assert calls["warp_sse"] > 0
+    assert calls["warp_bilinear"] == calls["warp_sse"]
 
 @pytest.mark.parametrize("run", [run_align, run_groundtruth])
 def test_frame_size_mismatch_is_a_data_error(run, mini_pair, mini_cfg,

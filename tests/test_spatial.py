@@ -111,18 +111,28 @@ def test_lk_align_recovers_known_rotation():
     ref = textured_image(45, (120, 160))
     omega_true = RotationParams(0.006, -0.004, 0.008)
     obs, _ = warp_image(ref, omega_true, INTR)
-    est, mse = lk_align(ref, obs, INTR)
+    est, mse, _ = lk_align(ref, obs, INTR)
     assert np.abs(est.as_array() - omega_true.as_array()).max() <= 2e-4
     initial, _ = ssd_objective(ref, obs, RotationParams(), INTR)
     n0 = ssd_objective(ref, obs, RotationParams(), INTR)[1]
     assert mse <= initial / n0  # never worse than the identity start
 
 
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_lk_align_returns_the_warp_of_its_rotation(levels):
+    ref = textured_image(47, (120, 160))
+    obs, _ = warp_image(ref, RotationParams(-0.005, 0.007, 0.003), INTR)
+    est, _, (warped, valid) = lk_align(ref, obs, INTR, LKSettings(levels))
+    fresh, fresh_valid = warp_image(ref, est, INTR)
+    assert np.array_equal(warped, fresh)
+    assert np.array_equal(valid, fresh_valid)
+
 def test_lk_align_accepts_warm_start():
     ref = textured_image(46, (120, 160))
     omega_true = RotationParams(0.004, 0.003, -0.002)
     obs, _ = warp_image(ref, omega_true, INTR)
-    est, _ = lk_align(ref, obs, INTR, init=RotationParams(0.003, 0.002, 0.0))
+    est, _, _ = lk_align(ref, obs, INTR, init=RotationParams(0.003, 0.002, 0.0))
     assert np.abs(est.as_array() - omega_true.as_array()).max() <= 2e-4
 
 
