@@ -19,8 +19,12 @@ from .imagecore import build_pyramid
 MAX_ROTATION = 0.35  # radians; beyond this the small-angle model is meaningless
 MIN_PIXELS = 16
 MAX_STEP_HALVINGS = 8
-# pixels; a level ends once a rotation step moves no pixel this far
-MIN_STEP_PX = 0.003
+# pixels; a level ends once a rotation step moves no pixel this far.
+# Registration against the true rotation is off by ~0.7 px on the street
+# scenes, so steps below 0.03 px refine nothing the masks can show: from
+# 0.003 to 0.03 px, quality moved by under 0.001 and the rotation error
+# by under 1%, while SSE warps per align fell by a third.
+MIN_STEP_PX = 0.03
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def test_lk_align_warps_each_candidate_once(monkeypatch):
         lk_align(ref, obs, INTR)
         assert calls["warp_bilinear"] == calls["warp_sse"]
         counts.append(calls["warp_sse"])
-    assert counts == [16, 17, 17, 19, 18]
+    assert counts == [11, 10, 10, 9, 10]
     assert sum(counts) <= 191 // 2
 
 
