@@ -108,7 +108,11 @@ def _shift_windows(h, w, max_shift):
 
 
 class DescriptorBank:
-    """Stacked descriptor grids for batched similarity queries."""
+    """The descriptors of a reference ride as one (members, cells) matrix.
+
+    Row i of `matrix` is member i's dx grid followed by its dy grid,
+    flattened; `dx` and `dy` are (members, h, w) views of it.
+    """
 
     def __init__(self, descriptors):
         descriptors = list(descriptors)
@@ -118,68 +122,73 @@ class DescriptorBank:
         for d in descriptors:
             if d.shape != shape:
                 raise ValueError("descriptor shapes differ")
-        self.dx = np.stack([d.dx for d in descriptors])
-        self.dy = np.stack([d.dy for d in descriptors])
-        self._shift_norms = {}
+        grids = np.stack((np.stack([d.dx for d in descriptors]),
+                          np.stack([d.dy for d in descriptors])), axis=1)
+        self.matrix = grids.reshape(len(descriptors), -1)
+        self.dx, self.dy = grids[:, 0], grids[:, 1]
+        self._shifts = {}
 
     def __len__(self):
-        return self.dx.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def grid_shape(self):
         return self.dx.shape[1:]
 
-    def shift_norms(self, max_shift):
-        """Norm of every member over the overlap of each shift.
+    def shift_plan(self, max_shift):
+        """(gather, norms) of the shifts with a non-empty overlap.
 
-        Shape (shifts, members), with the shifts in `_shift_windows`
-        order. The norms do not depend on the probe, so they are
-        computed once per max_shift.
+        Row s of `gather` indexes a probe's flattened cells, with one
+        zero appended, so that gathering gives the probe's overlap of
+        shift s in bank cell order and zero elsewhere. `norms` (shifts,
+        members) is every member's norm over that overlap. Neither
+        depends on the probe, so both are computed once per max_shift.
         """
-        norms = self._shift_norms.get(max_shift)
-        if norms is None:
+        plan = self._shifts.get(max_shift)
+        if plan is None:
             h, w = self.grid_shape
-            per_shift = []
+            cells = np.arange(2 * h * w).reshape(2, h, w)
+            gather, norms = [], []
             for v, u, ys0, ys1, xs0, xs1 in _shift_windows(h, w, max_shift):
+                row = np.full((2, h, w), 2 * h * w)
+                row[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u] = \
+                    cells[:, ys0:ys1, xs0:xs1]
+                gather.append(row.ravel())
                 bdx = self.dx[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
                 bdy = self.dy[:, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-                per_shift.append(np.sqrt((bdx * bdx).sum(axis=(1, 2))
-                                         + (bdy * bdy).sum(axis=(1, 2))))
-            norms = self._shift_norms[max_shift] = np.array(per_shift)
-        return norms
+                norms.append(np.sqrt((bdx * bdx).sum(axis=(1, 2))
+                                     + (bdy * bdy).sum(axis=(1, 2))))
+            plan = self._shifts[max_shift] = (np.array(gather),
+                                              np.array(norms))
+        return plan
 
 
 def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
     """Vector of the similarity of d to bank[i] for i in range(start, stop).
 
     Scores one observed frame against a contiguous stretch of the
-    reference ride at once (the whole ride by default). Each entry is
-    the same whichever range it is scored in.
+    reference ride at once (the whole ride by default). The probe's
+    zero-padded overlap of every shift is one row of a (shifts, cells)
+    matrix, so one product with the bank's rows gives every shift's
+    inner products. Each entry is the same whichever range it is scored
+    in: einsum sums each entry alone, where a BLAS product's summation
+    order depends on the width of the range.
     """
     if d.shape != bank.grid_shape:
         raise ValueError("descriptor shapes differ")
     stop = len(bank) if stop is None else stop
     if not 0 <= start <= stop <= len(bank):
         raise ValueError(f"column range [{start}, {stop}) outside the bank")
-    n = stop - start
     if d.is_zero:
-        return np.zeros(n)
-    h, w = d.shape
-    norms = bank.shift_norms(max_shift)[:, start:stop]
-    best = np.full(n, -np.inf)
-    for nb, (v, u, ys0, ys1, xs0, xs1) in zip(
-            norms, _shift_windows(h, w, max_shift)):
-        adx = d.dx[ys0:ys1, xs0:xs1]
-        ady = d.dy[ys0:ys1, xs0:xs1]
-        bdx = bank.dx[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-        bdy = bank.dy[start:stop, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-        dot = np.einsum("ij,nij->n", adx, bdx) + np.einsum("ij,nij->n", ady, bdy)
-        na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
-        ok = (na > 0.0) & (nb > 0.0)
-        score = np.where(ok, dot / np.where(ok, na * nb, 1.0), 0.0)
-        best = np.maximum(best, score)
-    best[best == -np.inf] = 0.0
-    return np.clip(best, -1.0, 1.0)
+        return np.zeros(stop - start)
+    gather, norms = bank.shift_plan(max_shift)
+    probe = np.concatenate((d.dx.ravel(), d.dy.ravel(), [0.0]))[gather]
+    dot = np.einsum("sk,nk->sn", probe, bank.matrix[start:stop])
+    na = np.sqrt(np.einsum("sk,sk->s", probe, probe))[:, None]
+    nb = norms[:, start:stop]
+    ok = (na > 0.0) & (nb > 0.0)
+    score = np.where(ok, dot / np.where(ok, na * nb, 1.0), 0.0)
+    return np.clip(score.max(axis=0), -1.0, 1.0)
 
 
 def likelihood_from_similarity(sim, params=DescriptorParams()):

@@ -14,6 +14,7 @@ symmetric kernel, so both give the same bits.
 
 import logging
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +78,24 @@ def _parse_pnm_header(data):
     return magic, width, height, maxval, i + 1
 
 
+def _check_payload(path, magic, width, height, offset, size):
+    """Shape of a frame whose file holds `size` bytes, the payload from
+    `offset`; a TruncatedPayloadError if that is shorter than promised."""
+    shape = (height, width) if magic == "P5" else (height, width, 3)
+    expected = math.prod(shape)
+    if size - offset < expected:
+        raise TruncatedPayloadError(
+            f"{path}: expected {expected} payload bytes, found {size - offset}"
+        )
+    return shape
+
+
 def read_image_shape(path):
     """Shape `load_image` gives a binary PGM or PPM file, from its header.
 
     That is (height, width) for a gray P5 file and (height, width, 3)
-    for a color P6 file.
+    for a color P6 file. Only the header is read; the file's size shows
+    whether the payload is complete (TruncatedPayloadError if not).
     """
     data = b""
     with open(path, "rb") as fh:
@@ -89,11 +103,13 @@ def read_image_shape(path):
             chunk = fh.read(1024)
             data += chunk
             try:
-                magic, width, height, _, _ = _parse_pnm_header(data)
-                return (height, width) if magic == "P5" else (height, width, 3)
+                magic, width, height, _, offset = _parse_pnm_header(data)
+                break
             except MalformedHeaderError:
                 if not chunk:  # the header is malformed, not just unread
                     raise
+        size = os.fstat(fh.fileno()).st_size
+    return _check_payload(path, magic, width, height, offset, size)
 
 
 def load_image(path):
@@ -104,18 +120,12 @@ def load_image(path):
     """
     data = Path(path).read_bytes()
     magic, width, height, _, offset = _parse_pnm_header(data)
-    channels = 1 if magic == "P5" else 3
-    expected = width * height * channels
-    payload = data[offset:offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} payload bytes, found {len(payload)}"
-        )
+    shape = _check_payload(path, magic, width, height, offset, len(data))
+    payload = data[offset:offset + math.prod(shape)]
     raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return raw.reshape(height, width)
-    rgb = raw.reshape(height, width, 3)
-    return np.maximum(rgb, RGB_FLOOR)
+    if magic == "P5":
+        return raw.reshape(shape)
+    return np.maximum(raw.reshape(shape), RGB_FLOOR)
 
 
 def load_mask(path):

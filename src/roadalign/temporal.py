@@ -113,33 +113,43 @@ def fixed_lag_infer(table, cfg, min_label=1):
     monotone label constraint. Ties break toward the smallest label.
     Labels below `min_label` are excluded from the final argmax.
 
+    Only the columns from the table's first to its last non-zero column
+    are visited, so a banded table costs its band, not its width. The
+    result is that of the full width: outside that span every message
+    is -inf, which can neither win nor raise a prefix or suffix max.
+
     Raises SyncLossError when no feasible monotone labeling remains.
     """
     table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2 or table.shape[0] == 0:
+    if table.ndim != 2 or table.size == 0:
         raise ValueError("table must be a non-empty 2-d array")
-    if np.any(table < 0) or not np.all(np.isfinite(table)):
-        raise ValueError("table entries must be finite and non-negative")
     rows, n = table.shape
+    scored = np.flatnonzero(table.any(axis=0))
+    if len(scored) == 0:
+        raise SyncLossError("no feasible monotone labeling for this window")
+    lo, hi = int(scored[0]), int(scored[-1]) + 1
+    span = table[:, lo:hi]
+    if np.any(span < 0) or not np.all(np.isfinite(span)):
+        raise ValueError("table entries must be finite and non-negative")
     lag_index = max(0, rows - 1 - cfg.lag_l)
     with np.errstate(divide="ignore"):
-        lt = np.log(table)
+        lt = np.log(span)
     log_beta = math.log(cfg.beta)
     # max-product messages into the lagged row from both ends
     fwd = lt[0] - math.log(n)
     for k in range(1, lag_index + 1):
         fwd = lt[k] + log_beta + np.maximum.accumulate(fwd)
-    bwd = np.zeros(n)
+    bwd = np.zeros(hi - lo)
     for k in range(rows - 2, lag_index - 1, -1):
         t = lt[k + 1] + log_beta + bwd
         bwd = np.maximum.accumulate(t[::-1])[::-1]
     scores = fwd + bwd
-    if min_label > 1:
-        scores[: min_label - 1] = -np.inf
+    if min_label - 1 > lo:
+        scores[: min_label - 1 - lo] = -np.inf
     best = scores.max()
     if best == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
-    label = int(np.argmax(scores)) + 1
+    label = int(np.argmax(scores)) + 1 + lo
     return label, float(np.exp(best))
 
 

@@ -19,7 +19,7 @@ from roadalign.descriptor import (DescriptorParams,
                                   similarity_to_bank)
 from roadalign.errors import SyncLossError
 from roadalign.imagecore import gaussian_kernel, gaussian_smooth
-from roadalign.temporal import SyncEmission, fixed_lag_infer
+from roadalign.temporal import SyncEmission
 
 
 def textured_image(seed, shape=(120, 160)):
@@ -68,6 +68,39 @@ def naive_monotone_best(table, beta):
             best_seq = seq
             best_score = score
     return [s + 1 for s in best_seq], best_score
+
+
+def full_width_fixed_lag_infer(table, cfg, min_label=1):
+    """Fixed-lag MAP label and score with messages over every label.
+
+    The same max-product recursion as `temporal.fixed_lag_infer`, run
+    over all N columns of the table instead of its non-zero span.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] == 0:
+        raise ValueError("table must be a non-empty 2-d array")
+    if np.any(table < 0) or not np.all(np.isfinite(table)):
+        raise ValueError("table entries must be finite and non-negative")
+    rows, n = table.shape
+    lag_index = max(0, rows - 1 - cfg.lag_l)
+    with np.errstate(divide="ignore"):
+        lt = np.log(table)
+    log_beta = math.log(cfg.beta)
+    fwd = lt[0] - math.log(n)
+    for k in range(1, lag_index + 1):
+        fwd = lt[k] + log_beta + np.maximum.accumulate(fwd)
+    bwd = np.zeros(n)
+    for k in range(rows - 2, lag_index - 1, -1):
+        t = lt[k + 1] + log_beta + bwd
+        bwd = np.maximum.accumulate(t[::-1])[::-1]
+    scores = fwd + bwd
+    if min_label > 1:
+        scores[: min_label - 1] = -np.inf
+    best = scores.max()
+    if best == -np.inf:
+        raise SyncLossError("no feasible monotone labeling for this window")
+    label = int(np.argmax(scores)) + 1
+    return label, float(np.exp(best))
 
 
 def loop_map_sequence(table, cfg):
@@ -136,8 +169,8 @@ class RebuildingSynchronizer:
         if cfg.candidate_band is not None and self._last_label is not None:
             labels = np.arange(1, len(self._bank) + 1)
             table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = 0.0
-        label, score = fixed_lag_infer(table, cfg,
-                                       min_label=self._last_label or 1)
+        label, score = full_width_fixed_lag_infer(
+            table, cfg, min_label=self._last_label or 1)
         self._last_label = label
         return SyncEmission(index - cfg.lag_l, label, score)
 

@@ -124,27 +124,32 @@ def _write_gray(img, path):
 def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
                                                      capsys):
     # frame 10 of 14 is 96 px wide (the others 80 px), or gray, which the
-    # invariant space cannot use
+    # invariant space cannot use, or its payload is 500 bytes short
     cases = {
         "wide": (lambda img, path: save_image_rgb(
             np.pad(img, ((0, 0), (8, 8), (0, 0)), mode="edge"), path),
             "frame_000010.ppm: frame is 96x60"),
         "gray": (_write_gray,
                  "frame_000010.ppm: invariant space requires color frames"),
+        "short": (lambda img, path: path.write_bytes(path.read_bytes()[:-500]),
+                  "frame_000010.ppm: expected 14400 payload bytes, found 13900"),
     }
-    for name, (rewrite, message) in cases.items():
-        obs = tmp_path / name / "obs"
-        obs.mkdir(parents=True)
-        for path in sorted(mini_pair.obs.glob("frame_*.ppm")):
-            (obs / path.name).write_bytes(path.read_bytes())
-        rewrite(load_image(obs / "frame_000010.ppm"), obs / "frame_000010.ppm")
-        out = tmp_path / name / "out"
-        code = main(["align", str(mini_pair.ref), str(obs), str(out),
-                     "--config", str(mini_pair.root / "scene.cfg")])
-        assert code == 2, name
-        assert message in capsys.readouterr().err
-        assert not list(out.glob("mask_*.pgm")), name
-        assert not (out / "sync.csv").exists(), name
+    for command in ("align", "groundtruth"):
+        for name, (rewrite, message) in cases.items():
+            obs = tmp_path / command / name / "obs"
+            obs.mkdir(parents=True)
+            for path in sorted(mini_pair.obs.glob("frame_*.ppm")):
+                (obs / path.name).write_bytes(path.read_bytes())
+            rewrite(load_image(obs / "frame_000010.ppm"),
+                    obs / "frame_000010.ppm")
+            out = tmp_path / command / name / "out"
+            code = main([command, str(mini_pair.ref), str(obs), str(out),
+                         "--config", str(mini_pair.root / "scene.cfg")])
+            assert code == 2, (command, name)
+            assert message in capsys.readouterr().err, (command, name)
+            assert not list(out.glob("mask_*.pgm")), (command, name)
+            assert not (out / "sync.csv").exists(), (command, name)
+            assert not out.exists(), (command, name)
 
 
 @pytest.mark.parametrize("extra,config_line", [

@@ -88,22 +88,51 @@ def test_similarity_recovers_integer_shifts():
     assert similarity(base, shifted, 0) < similarity(base, shifted, 2)
 
 
+def _corner_probe(shape):
+    """A descriptor with one non-zero cell, its top-left one: its overlap
+    is all zeros for every shift that leaves that cell out."""
+    dx = np.zeros(shape)
+    dx[0, 0] = -1.0
+    return Descriptor.from_gradients(dx, np.zeros(shape))
+
+
 def test_bank_matches_scalar_similarity():
     rng = np.random.default_rng(12)
-    members = [_random_descriptor(rng) for _ in range(6)]
-    members[3] = _random_descriptor(rng, zero=True)
-    bank = DescriptorBank(members)
-    assert len(bank) == 6
-    assert bank.grid_shape == (5, 7)
-    probe = _random_descriptor(rng)
-    got = similarity_to_bank(probe, bank, max_shift=2)
-    want = np.array([similarity(probe, m, 2) for m in members])
-    assert np.allclose(got, want, atol=1e-12)
-    # a zero probe scores 0 everywhere
-    assert np.array_equal(
-        similarity_to_bank(_random_descriptor(rng, zero=True), bank), np.zeros(6))
+    for shape, max_shifts in [((5, 7), (0, 2, 4)),
+                              # shifts at or beyond the grid's side leave
+                              # some overlaps empty
+                              ((2, 2), (0, 4)), ((2, 3), (0, 4)),
+                              ((1, 4), (0, 4))]:
+        _check_bank_against_scalar(rng, shape, max_shifts)
     with pytest.raises(ValueError):
         DescriptorBank([])
+
+
+def _check_bank_against_scalar(rng, shape, max_shifts):
+    members = [_random_descriptor(rng, shape) for _ in range(6)]
+    members[3] = _random_descriptor(rng, shape, zero=True)
+    members[5] = _random_descriptor(rng, shape, zero=True)
+    banks = [members, [_random_descriptor(rng, shape, zero=True)] * 3]
+    probes = [_random_descriptor(rng, shape), _corner_probe(shape)]
+    for descriptors in banks:
+        bank = DescriptorBank(descriptors)
+        assert len(bank) == len(descriptors)
+        assert bank.grid_shape == shape
+        # dx and dy are the stacked grids, as views of the one matrix
+        assert np.array_equal(bank.dx, np.stack([d.dx for d in descriptors]))
+        assert np.array_equal(bank.dy, np.stack([d.dy for d in descriptors]))
+        assert np.shares_memory(bank.dx, bank.matrix)
+        assert np.shares_memory(bank.dy, bank.matrix)
+        for probe in probes:
+            for max_shift in max_shifts:
+                got = similarity_to_bank(probe, bank, max_shift=max_shift)
+                want = np.array([similarity(probe, m, max_shift)
+                                 for m in descriptors])
+                assert np.allclose(got, want, atol=1e-12)
+        # a zero probe scores 0 everywhere
+        assert np.array_equal(
+            similarity_to_bank(_random_descriptor(rng, shape, zero=True), bank),
+            np.zeros(len(descriptors)))
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (8, 10)])

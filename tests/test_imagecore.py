@@ -43,11 +43,19 @@ def test_header_comments_tolerated(tmp_path):
 
 def test_read_image_size_reads_the_header_only(tmp_path):
     p = tmp_path / "a.ppm"
-    # a comment longer than one read, and no payload at all
-    p.write_bytes(b"P6\n# " + b"x" * 2000 + b"\n640 480\n255\n")
+    # a comment longer than one read
+    header = b"P6\n# " + b"x" * 2000 + b"\n640 480\n255\n"
+    p.write_bytes(header + bytes(640 * 480 * 3))
     assert read_image_shape(p) == (480, 640, 3)
-    with pytest.raises(TruncatedPayloadError):
-        load_image(p)
+    # a payload one byte short, or missing, fails as load_image does
+    for payload in (bytes(640 * 480 * 3 - 1), b""):
+        p.write_bytes(header + payload)
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"found {len(payload)}$"):
+            read_image_shape(p)
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"found {len(payload)}$"):
+            load_image(p)
     # a gray frame has no channel axis, as load_image gives it
     p.write_bytes(b"P5\n4 2\n255\n" + bytes(8))
     assert read_image_shape(p) == load_image(p).shape == (2, 4)

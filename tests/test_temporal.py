@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from helpers import (RebuildingSynchronizer, brute_force_map,
-                     loop_map_sequence, naive_monotone_best, textured_image)
+                     full_width_fixed_lag_infer, loop_map_sequence,
+                     naive_monotone_best, textured_image)
 
 from roadalign import temporal
 from roadalign.descriptor import (DescriptorBank, DescriptorParams,
@@ -191,6 +192,50 @@ def test_fixed_lag_input_validation():
         fixed_lag_infer(np.array([[0.5, -0.1, 0.2]]), cfg)
     with pytest.raises(ValueError):
         fixed_lag_infer(np.array([[0.5, np.inf, 0.2]]), cfg)
+
+
+def _outcome(infer, table, cfg, min_label):
+    try:
+        return infer(table, cfg, min_label=min_label)
+    except SyncLossError:
+        return "loss"
+
+
+def test_fixed_lag_over_the_span_matches_full_width():
+    rng = np.random.default_rng(23)
+    kinds = ("band", "scattered", "zero columns", "ties", "all zero")
+    losses = checks = 0
+    for trial in range(1500):
+        kind = kinds[trial % len(kinds)]
+        rows = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 25))
+        if kind == "ties":
+            table = rng.choice([0.0, 0.25, 0.5], size=(rows, n))
+        else:
+            table = rng.uniform(0.0, 1.0, size=(rows, n))
+        if kind == "band":
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo, n + 1))
+            table[:, :lo] = 0.0
+            table[:, hi:] = 0.0
+        elif kind == "scattered":
+            table[rng.random((rows, n)) < 0.6] = 0.0
+        elif kind == "zero columns":
+            table[:, rng.random(n) < 0.5] = 0.0
+        elif kind == "all zero":
+            table[:] = 0.0
+        # min_label from below the non-zero span to beyond it
+        min_label = int(rng.integers(1, n + 3))
+        for lag in range(rows + 1):
+            cfg = SyncConfig(lag_l=lag, window_L=max(lag, 1),
+                             beta=float(rng.uniform(0.5, 2.0)))
+            got = _outcome(fixed_lag_infer, table, cfg, min_label)
+            want = _outcome(full_width_fixed_lag_infer, table, cfg, min_label)
+            assert got == want, (kind, table, lag, min_label)
+            losses += got == "loss"
+            checks += 1
+    # both branches are exercised
+    assert 0 < losses < checks
 
 
 # --- offline decodes --------------------------------------------------------
