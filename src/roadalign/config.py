@@ -59,14 +59,12 @@ class PipelineConfig:
     cy: float | None = None
     lag: int = 5
     window: int = 10
-    beta: float = 1.0
     band: int | None = 30
     smooth_sigma: float = 2.0
     downsample_factor: int = 16
     gradient_floor_ratio: float = 0.05
     max_shift: int = 2
     mu_y: float = 1.0
-    sigma_y: float = 0.5
     pyramid_levels: int = 3
     max_iterations: int = 50
     robust_skip: int = 2
@@ -88,8 +86,6 @@ class PipelineConfig:
             raise ConfigError("window must be at least max(lag, 1)")
         if self.band is not None and self.band < 1:
             raise ConfigError("band must be at least 1 frame")
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive")
         # the stage settings check their own values; build them once here
         # so that a bad value fails before any frame is read
         try:
@@ -136,7 +132,6 @@ class PipelineConfig:
         return SyncConfig(
             lag_l=self.lag,
             window_L=self.window,
-            beta=self.beta,
             candidate_band=self.band,
         )
 

@@ -24,7 +24,6 @@ class DescriptorParams:
     gradient_floor_ratio: float = 0.05
     max_shift: int = 2
     mu_y: float = 1.0
-    sigma_y: float = 0.5
 
     def __post_init__(self):
         if not self.smooth_sigma > 0:
@@ -35,8 +34,6 @@ class DescriptorParams:
             raise ValueError("gradient_floor_ratio must be in [0, 1)")
         if self.max_shift < 0:
             raise ValueError("max_shift must be non-negative")
-        if not self.sigma_y > 0:
-            raise ValueError("sigma_y must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,3 @@ def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
     ok = (na > 0.0) & (nb > 0.0)
     score = np.where(ok, dot / np.where(ok, na * nb, 1.0), 0.0)
     return np.clip(score.max(axis=0), -1.0, 1.0)
-
-
-def likelihood_from_similarity(sim, params=DescriptorParams()):
-    """Gaussian observation density of a similarity value (scalar or array)."""
-    z = (np.asarray(sim, dtype=np.float64) - params.mu_y) / params.sigma_y
-    out = np.exp(-0.5 * z * z) / (params.sigma_y * math.sqrt(2.0 * math.pi))
-    if np.ndim(sim) == 0:
-        return float(out)
-    return out
-

@@ -24,8 +24,7 @@ from .imagecore import (load_image, load_mask, pyramid_depth,
 from .invariant import InvariantDirection, rgb_to_invariant
 from .spatial import (CameraIntrinsics, LKSettings, RotationParams, lk_align,
                       warp_mask)
-from .temporal import SyncConfig, build_likelihood_table, map_sequence
-from .temporal import OnlineSynchronizer
+from .temporal import OnlineSynchronizer, build_likelihood_table, map_sequence
 from .transfer import RefineSettings, transfer_and_refine
 
 logger = logging.getLogger(__name__)
@@ -279,11 +278,10 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
                          for _, path in indexed))
 
-    full_cfg = SyncConfig(lag_l=0, window_L=max(len(feats) - 1, 0),
-                          beta=cfg.beta, candidate_band=None)
     descs = [compute_descriptor(f, params) for f in feats]
-    table = build_likelihood_table(descs, ref.bank, full_cfg, params)
-    labels = map_sequence(table, full_cfg)
+    # no center: the whole row is scored, whatever the band
+    table = build_likelihood_table(descs, ref.bank, cfg.sync_config(), params)
+    labels = map_sequence(table)
 
     rows = []
     for (t, _), feat, diff_img, label in zip(indexed, feats, diffs, labels):

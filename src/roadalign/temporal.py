@@ -2,24 +2,23 @@
 
 Observed frames are matched to reference frame labels with a hidden
 chain model: the label of frame k+1 is never smaller than the label of
-frame k (the vehicle does not drive backward), and each frame emits its
-descriptor with a Gaussian density in the similarity to the labeled
-reference frame. Inference runs max-product over a sliding window of the
-most recent frames and commits the label of the frame `lag_l` steps in
-the past, so every frame's answer arrives with a fixed small latency.
+frame k (the vehicle does not drive backward), and each frame scores
+its label with the observation term -(s - mu_y)**2, s being its
+descriptor similarity to the labeled reference frame. Inference is
+max-sum over these terms: a density's normalisation and width, a
+uniform prior and a per-step transition weight would shift or scale
+every labeling's sum alike, so none of them appears. It runs over a
+sliding window of the most recent frames and commits the label of the
+frame `lag_l` steps in the past, so every frame's answer arrives with a
+fixed small latency.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import (
-    DescriptorParams,
-    likelihood_from_similarity,
-    similarity_to_bank,
-)
+from .descriptor import DescriptorParams, similarity_to_bank
 from .errors import SyncLossError
 
 
@@ -27,7 +26,6 @@ from .errors import SyncLossError
 class SyncConfig:
     lag_l: int = 5
     window_L: int = 10
-    beta: float = 1.0
     candidate_band: int | None = None
 
     def __post_init__(self):
@@ -35,18 +33,16 @@ class SyncConfig:
             raise ValueError("lag_l must be non-negative")
         if self.window_L < self.lag_l:
             raise ValueError("window_L must be at least lag_l")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
         if self.candidate_band is not None and self.candidate_band < 0:
             raise ValueError("candidate_band must be non-negative")
 
 
 class _WindowFrame:
-    """One window entry: the frame's likelihood row, scored on demand.
+    """One window entry: the frame's row of observation terms, on demand.
 
     `row` has one entry per reference label. The columns from the left
     edge of the first band it was scored for up to `hi` hold scored
-    values, the rest are zero. A row only grows to the right: its band
+    terms, the rest are -inf. A row only grows to the right: its band
     center is the last emitted label, which never decreases.
     """
 
@@ -64,22 +60,23 @@ class _WindowFrame:
         band center moving forward finds its next columns already there.
         """
         if self.row is None:
-            self.row = np.zeros(len(bank))
+            self.row = np.full(len(bank), -np.inf)
             self.hi = lo
         if hi > self.hi:
             sim = similarity_to_bank(self.descriptor, bank, params.max_shift,
                                      self.hi, ahead)
-            self.row[self.hi:ahead] = likelihood_from_similarity(sim, params)
+            self.row[self.hi:ahead] = -(sim - params.mu_y) ** 2
             self.hi = ahead
 
 
 def build_likelihood_table(window, bank, cfg, params, center=None):
-    """Observation likelihood of every window frame against every label.
+    """Observation term of every window frame against every label.
 
     Row k scores window frame k, column j scores reference label j+1 of
-    the DescriptorBank `bank`. When `cfg.candidate_band` is set and a
-    band center label is given, entries outside
-    [center - band, center + band] are zero, and only the columns inside
+    the DescriptorBank `bank`: -(s - mu_y)**2 for the similarity s of
+    the two, 0 at a perfect match. When `cfg.candidate_band` is set and
+    a band center label is given, entries outside
+    [center - band, center + band] are -inf, and only the columns inside
     are scored. A new row is scored one band width further right as
     well, for the next centers. `window` holds either the synchronizer's
     frames, which keep their rows between calls so that each column of a
@@ -94,7 +91,7 @@ def build_likelihood_table(window, bank, cfg, params, center=None):
         lo = min(max(center - 1 - band, 0), n)
         hi = min(max(center + band, lo), n)
         ahead = min(max(center + 2 * band, hi), n)
-    table = np.zeros((len(window), n))
+    table = np.full((len(window), n), -np.inf)
     for k, frame in enumerate(window):
         if not isinstance(frame, _WindowFrame):
             frame = _WindowFrame(frame)
@@ -103,69 +100,70 @@ def build_likelihood_table(window, bank, cfg, params, center=None):
     return table
 
 
-def fixed_lag_infer(table, cfg, min_label=1):
-    """MAP label and score of the lagged frame of a window.
-
-    The lagged frame is `cfg.lag_l` rows before the newest row (the
-    oldest row during warm-up when fewer rows exist). Products are
-    evaluated as sums of logarithms; the start label carries a uniform
-    prior over all labels, each step a factor beta, and the whole table a
-    monotone label constraint. Ties break toward the smallest label.
-    Labels below `min_label` are excluded from the final argmax.
-
-    Only the columns from the table's first to its last non-zero column
-    are visited, so a banded table costs its band, not its width. The
-    result is that of the full width: outside that span every message
-    is -inf, which can neither win nor raise a prefix or suffix max.
-
-    Raises SyncLossError when no feasible monotone labeling remains.
-    """
+def _checked(table):
+    """`table` as float64, checked: 2-d, non-empty, no NaN and no +inf."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.size == 0:
         raise ValueError("table must be a non-empty 2-d array")
-    rows, n = table.shape
-    scored = np.flatnonzero(table.any(axis=0))
+    if not np.all(table < np.inf):
+        raise ValueError("table entries must be finite or -inf")
+    return table
+
+
+def fixed_lag_infer(table, cfg, min_label=1):
+    """MAP label of the lagged frame of a window, and its own term.
+
+    The lagged frame is `cfg.lag_l` rows before the newest row (the
+    oldest row during warm-up when fewer rows exist). A labeling scores
+    the sum of its rows' terms under a monotone label constraint; -inf
+    marks a label a row may not take. Ties break toward the smallest
+    label. Labels below `min_label` are excluded from the final argmax.
+    The score returned is the lagged row's term at its label, 0 for a
+    perfect match.
+
+    Only the columns from the table's first to its last scored (finite)
+    column are visited, so a banded table costs its band, not its width.
+    The result is that of the full width: outside that span every
+    message is -inf, which can neither win nor raise a prefix or suffix
+    max.
+
+    Raises SyncLossError when no feasible monotone labeling remains.
+    """
+    table = _checked(table)
+    rows = table.shape[0]
+    scored = np.flatnonzero(np.isfinite(table).any(axis=0))
     if len(scored) == 0:
         raise SyncLossError("no feasible monotone labeling for this window")
     lo, hi = int(scored[0]), int(scored[-1]) + 1
     span = table[:, lo:hi]
-    if np.any(span < 0) or not np.all(np.isfinite(span)):
-        raise ValueError("table entries must be finite and non-negative")
     lag_index = max(0, rows - 1 - cfg.lag_l)
-    with np.errstate(divide="ignore"):
-        lt = np.log(span)
-    log_beta = math.log(cfg.beta)
-    # max-product messages into the lagged row from both ends
-    fwd = lt[0] - math.log(n)
+    # max-sum messages into the lagged row from both ends
+    fwd = span[0]
     for k in range(1, lag_index + 1):
-        fwd = lt[k] + log_beta + np.maximum.accumulate(fwd)
+        fwd = span[k] + np.maximum.accumulate(fwd)
     bwd = np.zeros(hi - lo)
     for k in range(rows - 2, lag_index - 1, -1):
-        t = lt[k + 1] + log_beta + bwd
+        t = span[k + 1] + bwd
         bwd = np.maximum.accumulate(t[::-1])[::-1]
     scores = fwd + bwd
     if min_label - 1 > lo:
         scores[: min_label - 1 - lo] = -np.inf
-    best = scores.max()
-    if best == -np.inf:
+    if scores.max() == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
     label = int(np.argmax(scores)) + 1 + lo
-    return label, float(np.exp(best))
+    return label, float(table[lag_index, label - 1])
 
 
-def map_sequence(table, cfg):
+def map_sequence(table):
     """Whole-window MAP label sequence (offline decode).
 
     Same chain model as `fixed_lag_infer` but decodes every row at once
     by backtracking; used when the label window spans the full sequence.
     Ties prefer smaller labels at each step.
     """
-    table = np.asarray(table, dtype=np.float64)
+    table = _checked(table)
     rows, n = table.shape
-    with np.errstate(divide="ignore"):
-        lt = np.log(table)
-    log_beta = math.log(cfg.beta)
-    fwd = lt[0] - math.log(n)
+    fwd = table[0]
     pointers = []
     columns = np.arange(n)
     for k in range(1, rows):
@@ -175,7 +173,7 @@ def map_sequence(table, cfg):
             ([False], fwd[1:] > np.maximum.accumulate(fwd)[:-1]))
         prefix_idx = np.maximum.accumulate(np.where(new_max, columns, 0))
         pointers.append(prefix_idx)
-        fwd = lt[k] + log_beta + fwd[prefix_idx]
+        fwd = table[k] + fwd[prefix_idx]
     if fwd.max() == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
     labels = np.empty(rows, dtype=np.int64)

@@ -14,9 +14,7 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 
-from roadalign.descriptor import (DescriptorParams,
-                                  likelihood_from_similarity,
-                                  similarity_to_bank)
+from roadalign.descriptor import DescriptorParams, similarity_to_bank
 from roadalign.errors import SyncLossError
 from roadalign.imagecore import gaussian_kernel, gaussian_smooth
 from roadalign.temporal import SyncEmission
@@ -29,12 +27,12 @@ def textured_image(seed, shape=(120, 160)):
     return (img - img.min()) / (img.max() - img.min())
 
 
-def brute_force_map(table, cfg):
+def brute_force_map(table):
     """Exhaustive MAP oracle over all non-decreasing label sequences.
 
-    Only meant for small instances: at most 6 rows and 8 labels. Ties
-    resolve to the lexicographically smallest sequence. Returns 1-based
-    labels.
+    A sequence scores the sum of its rows' terms. Only meant for small
+    instances: at most 6 rows and 8 labels. Ties resolve to the
+    lexicographically smallest sequence. Returns 1-based labels.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, n = table.shape
@@ -42,68 +40,61 @@ def brute_force_map(table, cfg):
         raise ValueError("instance too large for the brute-force oracle")
     seqs = np.array(list(itertools.combinations_with_replacement(range(n),
                                                                  rows)))
-    with np.errstate(divide="ignore"):
-        lt = np.log(table)
-    totals = lt[np.arange(rows), seqs].sum(axis=1)
-    totals += (rows - 1) * math.log(cfg.beta) - math.log(n)
+    totals = table[np.arange(rows), seqs].sum(axis=1)
     best = int(np.argmax(totals))  # first max = lexicographically smallest
     return [int(x) + 1 for x in seqs[best]]
 
 
-def naive_monotone_best(table, beta):
+def naive_monotone_best(table):
     """Best non-decreasing labeling by literal enumeration.
 
-    A sequence scores uniform-prior / n_labels times the product of its
-    per-row likelihoods times beta per transition. Ties resolve to the
-    lexicographically smallest sequence (enumeration order).
+    A sequence scores the sum of its per-row terms. Ties resolve to the
+    lexicographically smallest sequence (enumeration order), and so
+    does a table on which every sequence scores -inf.
     """
     rows, n = table.shape
     best_seq = None
     best_score = -math.inf
     for seq in itertools.combinations_with_replacement(range(n), rows):
-        score = 1.0 / n * beta ** (rows - 1)
+        score = 0.0
         for k in range(rows):
-            score *= table[k, seq[k]]
-        if score > best_score:
+            score += table[k, seq[k]]
+        if best_seq is None or score > best_score:
             best_seq = seq
             best_score = score
     return [s + 1 for s in best_seq], best_score
 
 
 def full_width_fixed_lag_infer(table, cfg, min_label=1):
-    """Fixed-lag MAP label and score with messages over every label.
+    """Fixed-lag MAP label and its row's term with messages over every label.
 
-    The same max-product recursion as `temporal.fixed_lag_infer`, run
-    over all N columns of the table instead of its non-zero span.
+    The same max-sum recursion as `temporal.fixed_lag_infer`, run over
+    all N columns of the table instead of its scored span.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] == 0:
         raise ValueError("table must be a non-empty 2-d array")
-    if np.any(table < 0) or not np.all(np.isfinite(table)):
-        raise ValueError("table entries must be finite and non-negative")
+    if np.any(np.isnan(table)) or np.any(table == np.inf):
+        raise ValueError("table entries must be finite or -inf")
     rows, n = table.shape
     lag_index = max(0, rows - 1 - cfg.lag_l)
-    with np.errstate(divide="ignore"):
-        lt = np.log(table)
-    log_beta = math.log(cfg.beta)
-    fwd = lt[0] - math.log(n)
+    fwd = table[0].copy()
     for k in range(1, lag_index + 1):
-        fwd = lt[k] + log_beta + np.maximum.accumulate(fwd)
+        fwd = table[k] + np.maximum.accumulate(fwd)
     bwd = np.zeros(n)
     for k in range(rows - 2, lag_index - 1, -1):
-        t = lt[k + 1] + log_beta + bwd
+        t = table[k + 1] + bwd
         bwd = np.maximum.accumulate(t[::-1])[::-1]
     scores = fwd + bwd
     if min_label > 1:
         scores[: min_label - 1] = -np.inf
-    best = scores.max()
-    if best == -np.inf:
+    if scores.max() == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
     label = int(np.argmax(scores)) + 1
-    return label, float(np.exp(best))
+    return label, float(table[lag_index, label - 1])
 
 
-def loop_map_sequence(table, cfg):
+def loop_map_sequence(table):
     """Whole-window MAP decode with a per-label prefix-argmax loop.
 
     Ties prefer the first column reaching the running maximum, column 0
@@ -111,10 +102,7 @@ def loop_map_sequence(table, cfg):
     """
     table = np.asarray(table, dtype=np.float64)
     rows, n = table.shape
-    with np.errstate(divide="ignore"):
-        lt = np.log(table)
-    log_beta = math.log(cfg.beta)
-    fwd = lt[0] - math.log(n)
+    fwd = table[0].copy()
     pointers = []
     for k in range(1, rows):
         best_val = -np.inf
@@ -128,7 +116,7 @@ def loop_map_sequence(table, cfg):
             prefix_val[j] = best_val
             prefix_idx[j] = best_idx
         pointers.append(prefix_idx)
-        fwd = lt[k] + log_beta + prefix_val
+        fwd = table[k] + prefix_val
     if fwd.max() == -np.inf:
         raise SyncLossError("no feasible monotone labeling for this window")
     labels = np.empty(rows, dtype=np.int64)
@@ -139,11 +127,11 @@ def loop_map_sequence(table, cfg):
 
 
 class RebuildingSynchronizer:
-    """On-line synchronizer that keeps no likelihood rows.
+    """On-line synchronizer that keeps no rows of observation terms.
 
     Every push scores every window frame against every reference label,
-    then zeroes the labels outside the candidate band around the last
-    emission, and runs fixed-lag inference on that table.
+    then sets the labels outside the candidate band around the last
+    emission to -inf, and runs fixed-lag inference on that table.
     """
 
     def __init__(self, bank, cfg, params):
@@ -162,13 +150,13 @@ class RebuildingSynchronizer:
         if index < cfg.lag_l:
             return None
         table = np.stack([
-            likelihood_from_similarity(
-                similarity_to_bank(d, self._bank, self._params.max_shift),
-                self._params)
+            -(similarity_to_bank(d, self._bank, self._params.max_shift)
+              - self._params.mu_y) ** 2
             for d in self._window])
         if cfg.candidate_band is not None and self._last_label is not None:
             labels = np.arange(1, len(self._bank) + 1)
-            table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = 0.0
+            table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = \
+                -np.inf
         label, score = full_width_fixed_lag_infer(
             table, cfg, min_label=self._last_label or 1)
         self._last_label = label
@@ -336,8 +324,8 @@ def similarity(a, b, max_shift=2):
 
 
 def observation_likelihood(a, b, params=DescriptorParams()):
-    """Observation density of descriptor a against reference descriptor b."""
-    return likelihood_from_similarity(similarity(a, b, params.max_shift), params)
+    """Observation term -(s - mu_y)**2 of descriptor a against reference b."""
+    return -(similarity(a, b, params.max_shift) - params.mu_y) ** 2
 
 
 def naive_similarity(a, b, max_shift=2):

@@ -154,7 +154,7 @@ def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
 
 @pytest.mark.parametrize("extra,config_line", [
     (["--band", "abc"], ""),
-    ([], "beta=0\n"),
+    ([], "window=0\n"),
     ([], "downsample_factor=0\n"),
 ])
 def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
@@ -167,6 +167,25 @@ def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_align_ignores_the_removed_sync_keys(mini_pair, tmp_path):
+    # the sync model has no beta or sigma_y; a config that sets them,
+    # even to values once rejected, still loads and aligns exactly as
+    # one without them
+    scene = (mini_pair.root / "scene.cfg").read_text()
+    outs = []
+    for name, extra in [("plain", ""), ("old", "beta=0\nsigma_y=0\n")]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(scene + "\n" + extra)
+        outs.append(tmp_path / name)
+        assert main(["align", str(mini_pair.ref), str(mini_pair.obs),
+                     str(outs[-1]), "--config", str(cfg)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "sync.csv" in names and len(names) > 1
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_align_and_eval_round_trip(mini_pair, tmp_path, capsys):

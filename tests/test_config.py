@@ -91,7 +91,7 @@ def test_bad_values_raise_config_error(tmp_path):
 
 @pytest.mark.parametrize("line,key", [
     ("band=abc", "band"),
-    ("beta=0", "beta"),
+    ("window=0", "window"),
     ("downsample_factor=0", "downsample_factor"),
     ("pyramid_levels=0", "pyramid_levels"),
     ("min_blob_px=-1", "min_blob_px"),
@@ -120,18 +120,19 @@ def test_validation_errors():
 
 
 def test_factories_propagate_values():
-    cfg = PipelineConfig(theta=0.7, focal_px=150.0, lag=3, window=7, beta=1.5,
+    cfg = PipelineConfig(theta=0.7, focal_px=150.0, lag=3, window=7,
                          band=20, smooth_sigma=1.5, downsample_factor=8,
+                         mu_y=0.8,
                          max_shift=1, pyramid_levels=2, max_iterations=30,
                          robust_skip=1, min_blob_px=10, histogram_bins=64)
     params = cfg.descriptor_params()
     assert params.smooth_sigma == 1.5
     assert params.downsample_factor == 8
     assert params.max_shift == 1
+    assert params.mu_y == 0.8
     sync = cfg.sync_config()
     assert sync.lag_l == 3
     assert sync.window_L == 7
-    assert sync.beta == 1.5
     assert sync.candidate_band == 20
     lk = cfg.lk_settings()
     assert lk.pyramid_levels == 2

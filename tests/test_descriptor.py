@@ -5,8 +5,8 @@ from helpers import (naive_similarity, observation_likelihood, similarity,
 
 from roadalign.descriptor import (Descriptor, DescriptorBank,
                                   DescriptorParams, compute_descriptor,
-                                  likelihood_from_similarity,
                                   similarity_to_bank)
+from roadalign.temporal import SyncConfig, build_likelihood_table
 
 
 def _random_descriptor(rng, shape=(5, 7), zero=False):
@@ -25,8 +25,6 @@ def test_params_validation():
         DescriptorParams(gradient_floor_ratio=1.0)
     with pytest.raises(ValueError):
         DescriptorParams(max_shift=-1)
-    with pytest.raises(ValueError):
-        DescriptorParams(sigma_y=0.0)
 
 
 def test_from_gradients_normalizes():
@@ -139,17 +137,13 @@ def _check_bank_against_scalar(rng, shape, max_shifts):
 def test_bank_column_range_is_bit_identical_to_full(shape):
     rng = np.random.default_rng(13)
     bank = DescriptorBank([_random_descriptor(rng, shape) for _ in range(40)])
-    params = DescriptorParams()
     for probe in [_random_descriptor(rng, shape) for _ in range(3)]:
         full = similarity_to_bank(probe, bank, 2)
-        full_lik = likelihood_from_similarity(full, params)
         for start, stop in [(0, 40), (0, 1), (39, 40), (7, 8), (5, 23),
                             (17, 40), (0, 31), (12, 12)]:
             part = similarity_to_bank(probe, bank, 2, start, stop)
             assert part.shape == (stop - start,)
             assert np.array_equal(part, full[start:stop])
-            assert np.array_equal(likelihood_from_similarity(part, params),
-                                  full_lik[start:stop])
     zero = _random_descriptor(rng, shape, zero=True)
     assert np.array_equal(similarity_to_bank(zero, bank, 2, 3, 9), np.zeros(6))
     for start, stop in [(-1, 4), (5, 4), (0, 41)]:
@@ -157,27 +151,14 @@ def test_bank_column_range_is_bit_identical_to_full(shape):
             similarity_to_bank(probe, bank, 2, start, stop)
 
 
-def test_likelihood_frozen_values():
-    # Gaussian density in the similarity score, mu=1, sigma=0.5:
-    # a perfect match scores 1/(0.5 sqrt(2 pi)) and sim=0.5 scores
-    # that times exp(-0.5).
-    assert likelihood_from_similarity(1.0) == pytest.approx(0.7978845608, abs=1e-9)
-    assert likelihood_from_similarity(0.5) == pytest.approx(0.4839414, abs=1e-6)
-    assert likelihood_from_similarity(0.5) == pytest.approx(
-        likelihood_from_similarity(1.0) * np.exp(-0.5), abs=1e-12)
-
-
-def test_likelihood_monotone_in_similarity():
-    sims = np.linspace(-1.0, 1.0, 21)
-    vals = [likelihood_from_similarity(s) for s in sims]
-    assert np.all(np.diff(vals) > 0)
-    assert all(v > 0 for v in vals)
-
-
 def test_observation_likelihood_composes():
+    # the table's term is the oracle's: -(similarity - mu_y)**2
     rng = np.random.default_rng(13)
     a = _random_descriptor(rng)
     b = _random_descriptor(rng)
-    params = DescriptorParams(max_shift=1, mu_y=1.0, sigma_y=0.5)
-    want = likelihood_from_similarity(similarity(a, b, 1), params)
+    params = DescriptorParams(max_shift=1, mu_y=0.9)
+    want = -(similarity(a, b, 1) - 0.9) ** 2
     assert observation_likelihood(a, b, params) == pytest.approx(want, abs=1e-15)
+    table = build_likelihood_table([a], DescriptorBank([b]),
+                                   SyncConfig(lag_l=0, window_L=0), params)
+    assert table[0, 0] == pytest.approx(want, abs=1e-12)

@@ -4,9 +4,11 @@ import shutil
 
 import numpy as np
 import pytest
+from helpers import similarity
 
 from roadalign import _kernels
 from roadalign.config import PipelineConfig
+from roadalign.descriptor import compute_descriptor
 from roadalign.errors import DataError
 from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
                                  save_mask)
@@ -242,6 +244,31 @@ def test_align_warps_each_reference_frame_once_per_candidate(
     assert all(not math.isnan(r.residual) for r in rows)  # no fallback
     assert calls["warp_sse"] > 0
     assert calls["warp_bilinear"] == calls["warp_sse"]
+
+@pytest.mark.parametrize("run", [run_align, run_groundtruth])
+def test_sync_csv_score_is_the_frames_observation_term(run, mini_pair,
+                                                       mini_cfg, tmp_path):
+    # in both modes, a row's score is its own frame's term at its label,
+    # -(similarity - mu_y)**2, and 0 for a perfect match; sync.csv holds
+    # it to 9 significant digits
+    rows = run(mini_pair.ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert len(rows) >= 14 - mini_cfg.lag
+    assert (tmp_path / "out" / "sync.csv").read_text().splitlines()[1:] == \
+        [r.csv_line() for r in rows]
+    params = mini_cfg.descriptor_params()
+    direction = InvariantDirection(mini_cfg.theta)
+
+    def descriptor(path):
+        return compute_descriptor(convert_frame(
+            load_image(path), mini_cfg.feature_space, direction), params)
+
+    ref = [descriptor(path) for _, path in list_frames(mini_pair.ref)]
+    for r in rows:
+        obs = descriptor(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm")
+        want = -(similarity(obs, ref[r.label - 1], params.max_shift)
+                 - params.mu_y) ** 2
+        assert r.score == pytest.approx(want, abs=1e-12)
+
 
 @pytest.mark.parametrize("run", [run_align, run_groundtruth])
 def test_frame_size_mismatch_is_a_data_error(run, mini_pair, mini_cfg,

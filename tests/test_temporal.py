@@ -1,3 +1,4 @@
+import helpers
 import numpy as np
 import pytest
 from helpers import (RebuildingSynchronizer, brute_force_map,
@@ -37,12 +38,37 @@ def test_sync_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(lag_l=6, window_L=5)
     with pytest.raises(ValueError):
-        SyncConfig(beta=0.0)
-    with pytest.raises(ValueError):
         SyncConfig(candidate_band=-2)
 
 
-# --- likelihood table -------------------------------------------------------
+# --- table of observation terms ---------------------------------------------
+
+def _table_of_similarities(monkeypatch, sims, params=PARAMS):
+    """The one-row table of a descriptor whose similarity to label j+1
+    is sims[j]."""
+    sims = np.asarray(sims, dtype=np.float64)
+    monkeypatch.setattr(temporal, "similarity_to_bank",
+                        lambda d, bank, max_shift, start, stop: sims[start:stop])
+    descs = _descriptors(_frames(len(sims)))
+    return build_likelihood_table(descs[:1], DescriptorBank(descs),
+                                  SyncConfig(lag_l=0, window_L=0), params)[0]
+
+
+def test_table_frozen_values(monkeypatch):
+    # -(s - mu_y)**2: 0 at a perfect match, -0.25 at s = 0.5, -4 at s = -1
+    assert list(_table_of_similarities(monkeypatch, [1.0, 0.5, -1.0])) == \
+        [0.0, -0.25, -4.0]
+    row = _table_of_similarities(
+        monkeypatch, [1.0, 0.5, 0.9],
+        DescriptorParams(smooth_sigma=1.5, downsample_factor=8, mu_y=0.9))
+    assert row == pytest.approx([-0.01, -0.16, 0.0], abs=1e-15)
+
+
+def test_table_term_monotone_in_similarity(monkeypatch):
+    row = _table_of_similarities(monkeypatch, np.linspace(-1.0, 1.0, 21))
+    assert np.all(np.diff(row) > 0)
+    assert np.all(np.isfinite(row)) and np.all(row <= 0)
+
 
 def test_table_diagonal_dominates_for_self_sync():
     frames = _frames(4)
@@ -50,7 +76,7 @@ def test_table_diagonal_dominates_for_self_sync():
     cfg = SyncConfig(lag_l=1, window_L=3)
     table = build_likelihood_table(descs, DescriptorBank(descs), cfg, PARAMS)
     assert table.shape == (4, 4)
-    assert np.all(table > 0)
+    assert np.all(np.isfinite(table)) and np.all(table <= 0)
     for k in range(4):
         assert np.argmax(table[k]) == k
 
@@ -70,11 +96,11 @@ def test_table_candidate_band_zeroes_far_labels():
     cfg = SyncConfig(lag_l=1, window_L=3, candidate_band=2)
     table = build_likelihood_table(descs, ref, cfg, PARAMS, center=5)
     labels = np.arange(1, 10)
-    assert np.all(table[:, np.abs(labels - 5) > 2] == 0.0)
-    assert np.all(table[:, np.abs(labels - 5) <= 2] > 0.0)
+    assert np.all(table[:, np.abs(labels - 5) > 2] == -np.inf)
+    assert np.all(np.isfinite(table[:, np.abs(labels - 5) <= 2]))
     # without a center the band is inactive
     full = build_likelihood_table(descs, ref, cfg, PARAMS)
-    assert np.all(full > 0)
+    assert np.all(np.isfinite(full))
 
 
 def test_window_table_matches_fresh_band_zeroed_table():
@@ -85,24 +111,24 @@ def test_window_table_matches_fresh_band_zeroed_table():
         descs, bank, SyncConfig(lag_l=1, window_L=4), PARAMS)
     labels = np.arange(1, 13)
 
-    def band_zeroed(center):
+    def band_limited(center):
         want = full.copy()
         if center is not None:
-            want[:, np.abs(labels - center) > 2] = 0.0
+            want[:, np.abs(labels - center) > 2] = -np.inf
         return want
 
     # bare descriptors: centers that move back, leave the bank, or are unset
     for center in [7, 9, 3, 12, None, 1, 20]:
         assert np.array_equal(
             build_likelihood_table(descs, bank, cfg, PARAMS, center=center),
-            band_zeroed(center))
+            band_limited(center))
     # cached frames: centers that never decrease, and jump past the
     # columns already scored
     window = [temporal._WindowFrame(d) for d in descs]
     for center in [1, 3, 7, 9, 12]:
         assert np.array_equal(
             build_likelihood_table(window, bank, cfg, PARAMS, center=center),
-            band_zeroed(center))
+            band_limited(center))
 
 
 def test_table_rejects_an_empty_window():
@@ -114,23 +140,24 @@ def test_table_rejects_an_empty_window():
 # --- fixed-lag inference ----------------------------------------------------
 
 def test_fixed_lag_three_frame_case():
-    table = np.array([[0.9, 0.05, 0.05],
-                      [0.05, 0.9, 0.05],
-                      [0.05, 0.05, 0.9]])
+    table = np.array([[-0.01, -3.0, -3.0],
+                      [-3.0, -0.02, -3.0],
+                      [-3.0, -3.0, -0.03]])
     cfg = SyncConfig(lag_l=1, window_L=2)
     label, score = fixed_lag_infer(table, cfg)
     assert label == 2
-    best_labels, best_score = naive_monotone_best(table, 1.0)
+    best_labels, best_score = naive_monotone_best(table)
     assert best_labels == [1, 2, 3]
-    assert score == pytest.approx(best_score, rel=1e-12)
+    assert best_score == pytest.approx(-0.06, abs=1e-15)
+    assert score == -0.02  # the lagged row's own term
 
 
 def test_fixed_lag_warm_up_uses_oldest_row():
-    table = np.array([[0.1, 0.8, 0.1]])
+    table = np.array([[-2.0, -0.2, -2.0]])
     cfg = SyncConfig(lag_l=2, window_L=4)
     label, score = fixed_lag_infer(table, cfg)
     assert label == 2
-    assert score == pytest.approx(0.8 / 3)
+    assert score == -0.2
 
 
 def test_fixed_lag_matches_enumeration_on_random_tables():
@@ -139,19 +166,17 @@ def test_fixed_lag_matches_enumeration_on_random_tables():
         rows = int(rng.integers(1, 5))
         n = int(rng.integers(1, 6))
         lag = int(rng.integers(0, 4))
-        beta = float(rng.uniform(0.5, 2.0))
-        table = rng.uniform(0.05, 1.0, size=(rows, n))
-        cfg = SyncConfig(lag_l=lag, window_L=max(lag, 4),
-                         beta=beta)
+        table = rng.uniform(-3.0, 0.0, size=(rows, n))
+        cfg = SyncConfig(lag_l=lag, window_L=max(lag, 4))
         label, score = fixed_lag_infer(table, cfg)
-        best_labels, best_score = naive_monotone_best(table, beta)
+        best_labels, _ = naive_monotone_best(table)
         lag_index = max(0, rows - 1 - lag)
         assert label == best_labels[lag_index]
-        assert score == pytest.approx(best_score, rel=1e-9)
+        assert score == table[lag_index, label - 1]
 
 
 def test_fixed_lag_tie_breaks_to_smallest_label():
-    table = np.ones((2, 4))
+    table = np.zeros((2, 4))
     cfg = SyncConfig(lag_l=1, window_L=2)
     label, _ = fixed_lag_infer(table, cfg)
     assert label == 1
@@ -159,27 +184,90 @@ def test_fixed_lag_tie_breaks_to_smallest_label():
     assert label == 3
 
 
+def _random_log_table(rng, rows, n, exact):
+    """Log terms, some of them -inf: eighths, which tie often and sum
+    exactly, or continuous values, which do not tie."""
+    if exact:
+        table = rng.integers(-16, 1, size=(rows, n)) / 8.0
+    else:
+        table = rng.uniform(-2.0, 0.0, size=(rows, n))
+    table[rng.random((rows, n)) < 0.15] = -np.inf
+    return table
+
+
+def _shifted_and_scaled(rng, table, exact):
+    """`table` plus a constant per row, and `table` times a positive
+    constant: eighths and powers of two when `exact`, so that every path
+    sum stays exact and a tie stays a tie."""
+    rows = table.shape[0]
+    if exact:
+        shift = rng.integers(-400, 401, size=(rows, 1)) / 8.0
+        scale = 2.0 ** int(rng.integers(-6, 7))
+    else:
+        shift = rng.uniform(-50.0, 50.0, size=(rows, 1))
+        scale = rng.uniform(0.01, 100.0)
+    return table + shift, table * scale
+
+
+def _label(table, cfg, min_label):
+    got = _outcome(fixed_lag_infer, table, cfg, min_label)
+    return got if got == "loss" else got[0]
+
+
 def test_fixed_lag_scale_invariance():
+    # a per-row constant (a density's normalisation, a uniform prior, a
+    # per-step transition weight) and a common positive factor (a
+    # density's width) move no label, which is why the model has neither
     rng = np.random.default_rng(21)
-    table = rng.uniform(0.05, 1.0, size=(4, 5))
-    cfg = SyncConfig(lag_l=2, window_L=4)
-    label, score = fixed_lag_infer(table, cfg)
-    label2, score2 = fixed_lag_infer(table * 137.0, cfg)
-    assert label2 == label
-    assert score2 == pytest.approx(score * 137.0 ** 4, rel=1e-9)
+    labels = 0
+    for trial in range(200):
+        exact = trial % 2 == 0
+        rows = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 9))
+        table = _random_log_table(rng, rows, n, exact)
+        others = _shifted_and_scaled(rng, table, exact)
+        for lag in range(rows + 1):
+            cfg = SyncConfig(lag_l=lag, window_L=max(lag, 1))
+            for min_label in range(1, n + 2):
+                want = _label(table, cfg, min_label)
+                assert all(_label(other, cfg, min_label) == want
+                           for other in others)
+                labels += want != "loss"
+    assert labels > 1000
+
+
+def test_map_sequence_scale_invariance():
+    rng = np.random.default_rng(26)
+    decoded = 0
+    for trial in range(300):
+        exact = trial % 2 == 0
+        table = _random_log_table(rng, int(rng.integers(1, 9)),
+                                  int(rng.integers(1, 12)), exact)
+        others = _shifted_and_scaled(rng, table, exact)
+        try:
+            want = map_sequence(table)
+        except SyncLossError:
+            for other in others:
+                with pytest.raises(SyncLossError):
+                    map_sequence(other)
+            continue
+        for other in others:
+            assert np.array_equal(map_sequence(other), want)
+        decoded += 1
+    assert decoded > 100
 
 
 def test_fixed_lag_signals_sync_loss():
     cfg = SyncConfig(lag_l=1, window_L=2)
     with pytest.raises(SyncLossError):
-        fixed_lag_infer(np.zeros((3, 3)), cfg)
+        fixed_lag_infer(np.full((3, 3), -np.inf), cfg)
     # feasible labelings exist but the monotone constraint kills them all
     with pytest.raises(SyncLossError):
-        fixed_lag_infer(np.array([[0.0, 1.0], [1.0, 0.0]]),
+        fixed_lag_infer(np.array([[-np.inf, 0.0], [0.0, -np.inf]]),
                         SyncConfig(lag_l=1, window_L=2))
     # min_label floor can exclude every feasible label
     with pytest.raises(SyncLossError):
-        fixed_lag_infer(np.array([[1.0, 0.0]]),
+        fixed_lag_infer(np.array([[0.0, -np.inf]]),
                         SyncConfig(lag_l=0, window_L=2),
                         min_label=2)
 
@@ -188,10 +276,15 @@ def test_fixed_lag_input_validation():
     cfg = SyncConfig(lag_l=1, window_L=2)
     with pytest.raises(ValueError):
         fixed_lag_infer(np.ones((0, 3)), cfg)
-    with pytest.raises(ValueError):
-        fixed_lag_infer(np.array([[0.5, -0.1, 0.2]]), cfg)
-    with pytest.raises(ValueError):
-        fixed_lag_infer(np.array([[0.5, np.inf, 0.2]]), cfg)
+    for bad in (np.nan, np.inf):
+        for table in ([[-0.5, bad, -0.2]], [[-0.5, -0.1], [-np.inf, bad]],
+                      [[-np.inf, -np.inf], [bad, -np.inf]]):
+            with pytest.raises(ValueError, match="finite or -inf"):
+                fixed_lag_infer(np.array(table), cfg)
+            with pytest.raises(ValueError, match="finite or -inf"):
+                map_sequence(np.array(table))
+    # -inf marks a label a row may not take, and is valid input
+    assert fixed_lag_infer(np.array([[-0.5, -np.inf, -0.2]]), cfg) == (3, -0.2)
 
 
 def _outcome(infer, table, cfg, min_label):
@@ -203,32 +296,31 @@ def _outcome(infer, table, cfg, min_label):
 
 def test_fixed_lag_over_the_span_matches_full_width():
     rng = np.random.default_rng(23)
-    kinds = ("band", "scattered", "zero columns", "ties", "all zero")
+    kinds = ("band", "scattered", "-inf columns", "ties", "all -inf")
     losses = checks = 0
     for trial in range(1500):
         kind = kinds[trial % len(kinds)]
         rows = int(rng.integers(1, 8))
         n = int(rng.integers(1, 25))
         if kind == "ties":
-            table = rng.choice([0.0, 0.25, 0.5], size=(rows, n))
+            table = rng.choice([-np.inf, -1.0, -0.5], size=(rows, n))
         else:
-            table = rng.uniform(0.0, 1.0, size=(rows, n))
+            table = rng.uniform(-3.0, 0.0, size=(rows, n))
         if kind == "band":
             lo = int(rng.integers(0, n))
             hi = int(rng.integers(lo, n + 1))
-            table[:, :lo] = 0.0
-            table[:, hi:] = 0.0
+            table[:, :lo] = -np.inf
+            table[:, hi:] = -np.inf
         elif kind == "scattered":
-            table[rng.random((rows, n)) < 0.6] = 0.0
-        elif kind == "zero columns":
-            table[:, rng.random(n) < 0.5] = 0.0
-        elif kind == "all zero":
-            table[:] = 0.0
-        # min_label from below the non-zero span to beyond it
+            table[rng.random((rows, n)) < 0.6] = -np.inf
+        elif kind == "-inf columns":
+            table[:, rng.random(n) < 0.5] = -np.inf
+        elif kind == "all -inf":
+            table[:] = -np.inf
+        # min_label from below the scored span to beyond it
         min_label = int(rng.integers(1, n + 3))
         for lag in range(rows + 1):
-            cfg = SyncConfig(lag_l=lag, window_L=max(lag, 1),
-                             beta=float(rng.uniform(0.5, 2.0)))
+            cfg = SyncConfig(lag_l=lag, window_L=max(lag, 1))
             got = _outcome(fixed_lag_infer, table, cfg, min_label)
             want = _outcome(full_width_fixed_lag_infer, table, cfg, min_label)
             assert got == want, (kind, table, lag, min_label)
@@ -245,22 +337,18 @@ def test_brute_force_matches_enumeration():
     for _ in range(60):
         rows = int(rng.integers(1, 5))
         n = int(rng.integers(1, 6))
-        beta = float(rng.uniform(0.5, 2.0))
-        table = rng.uniform(0.0, 1.0, size=(rows, n))
-        table[table < 0.15] = 0.0  # exercise infeasible entries
-        if not np.all(table.max(axis=1) > 0):
+        table = rng.uniform(-3.0, 0.0, size=(rows, n))
+        table[table < -2.55] = -np.inf  # exercise infeasible entries
+        if not np.all(np.isfinite(table).any(axis=1)):
             continue
-        cfg = SyncConfig(lag_l=1, window_L=4, beta=beta)
-        assert brute_force_map(table, cfg) == naive_monotone_best(table, beta)[0]
+        assert brute_force_map(table) == naive_monotone_best(table)[0]
 
 
 def test_brute_force_rejects_large_instances():
-    cfg = SyncConfig(lag_l=1, window_L=10)
     with pytest.raises(ValueError):
-        brute_force_map(np.ones((3, 9)), cfg)
+        brute_force_map(np.zeros((3, 9)))
     with pytest.raises(ValueError):
-        brute_force_map(np.ones((7, 5)),
-                        SyncConfig(lag_l=1, window_L=10))
+        brute_force_map(np.zeros((7, 5)))
 
 
 def test_map_sequence_matches_brute_force():
@@ -268,11 +356,9 @@ def test_map_sequence_matches_brute_force():
     for _ in range(80):
         rows = int(rng.integers(1, 6))
         n = int(rng.integers(1, 7))
-        beta = float(rng.uniform(0.5, 2.0))
-        table = rng.uniform(0.05, 1.0, size=(rows, n))
-        cfg = SyncConfig(lag_l=1, window_L=8, beta=beta)
-        got = map_sequence(table, cfg)
-        assert list(got) == brute_force_map(table, cfg)
+        table = rng.uniform(-3.0, 0.0, size=(rows, n))
+        got = map_sequence(table)
+        assert list(got) == brute_force_map(table)
         assert np.all(np.diff(got) >= 0)
 
 
@@ -282,34 +368,33 @@ def test_map_sequence_matches_loop_on_ties_and_zero_columns():
     for _ in range(300):
         rows = int(rng.integers(1, 6))
         n = int(rng.integers(1, 8))
-        beta = float(rng.choice([0.5, 1.0, 2.0]))
-        # few distinct values make ties common; zeros make -inf entries
-        table = rng.choice([0.0, 0.25, 0.5, 1.0], size=(rows, n))
-        table[:, rng.random(n) < 0.3] = 0.0
-        cfg = SyncConfig(lag_l=1, window_L=8, beta=beta)
+        # few distinct values make ties common; -inf makes infeasible
+        # entries and columns
+        table = rng.choice([-np.inf, -1.0, -0.5, 0.0], size=(rows, n))
+        table[:, rng.random(n) < 0.3] = -np.inf
         try:
-            want = loop_map_sequence(table, cfg)
+            want = loop_map_sequence(table)
         except SyncLossError:
             losses += 1
             with pytest.raises(SyncLossError):
-                map_sequence(table, cfg)
+                map_sequence(table)
             continue
-        got = map_sequence(table, cfg)
+        got = map_sequence(table)
         assert np.array_equal(got, want)
-        assert list(got) == brute_force_map(table, cfg)
+        assert list(got) == brute_force_map(table)
     assert 0 < losses < 300
 
 
 def test_map_sequence_uniform_table_returns_ones():
-    cfg = SyncConfig(lag_l=1, window_L=6)
-    assert list(map_sequence(np.ones((5, 4)), cfg)) == [1, 1, 1, 1, 1]
-    assert brute_force_map(np.ones((4, 4)), cfg) == [1, 1, 1, 1]
+    assert list(map_sequence(np.zeros((5, 4)))) == [1, 1, 1, 1, 1]
+    assert brute_force_map(np.zeros((4, 4))) == [1, 1, 1, 1]
 
 
 def test_map_sequence_signals_sync_loss():
-    cfg = SyncConfig(lag_l=1, window_L=4)
     with pytest.raises(SyncLossError):
-        map_sequence(np.array([[0.0, 1.0], [1.0, 0.0]]), cfg)
+        map_sequence(np.full((3, 3), -np.inf))
+    with pytest.raises(SyncLossError):
+        map_sequence(np.array([[-np.inf, 0.0], [0.0, -np.inf]]))
 
 
 # --- emission bookkeeping ---------------------------------------------------
@@ -433,16 +518,30 @@ def test_cached_rows_match_rebuilt_tables_when_center_outruns_lookahead(
 
 
 def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
-    # a narrow density underflows to 0 at similarity 0, so a blank frame
-    # (zero descriptor) leaves no feasible labeling while in the window
-    params = DescriptorParams(smooth_sigma=1.5, downsample_factor=8,
-                              max_shift=2, sigma_y=0.02)
+    # every scored term is finite, so the last emitted label stays
+    # feasible and a window cannot lose sync by itself; both inferences
+    # are made to lose it while a blank frame (zero descriptor, similarity
+    # 0 to every label) is in the window
+    blank_term = -PARAMS.mu_y ** 2
+
+    def losing(infer):
+        def wrapped(table, cfg, min_label=1):
+            for row in table:
+                if np.all(row[np.isfinite(row)] == blank_term):
+                    raise SyncLossError("blank frame in the window")
+            return infer(table, cfg, min_label=min_label)
+        return wrapped
+
+    monkeypatch.setattr(temporal, "fixed_lag_infer",
+                        losing(temporal.fixed_lag_infer))
+    monkeypatch.setattr(helpers, "full_width_fixed_lag_infer",
+                        losing(helpers.full_width_fixed_lag_infer))
     frames = _frames(20)
-    ref = [compute_descriptor(f, params) for f in frames]
+    ref = _descriptors(frames)
     obs = ref[:16]
-    obs[7] = compute_descriptor(np.full((60, 80), 0.5), params)
+    obs[7] = compute_descriptor(np.full((60, 80), 0.5), PARAMS)
     cfg = SyncConfig(lag_l=2, window_L=4, candidate_band=3)
-    cached, rebuilt, _ = _push_both(ref, obs, cfg, params, monkeypatch)
+    cached, rebuilt, _ = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
     assert cached == rebuilt
     assert "loss" in cached
     assert cached[-1] != "loss"
