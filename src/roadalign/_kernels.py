@@ -6,6 +6,10 @@ to sampling positions inside [0, w-1] x [0, h-1], and Gauss-Newton term
 accumulation with gradients matching numpy.gradient (central inside,
 one-sided at borders). Pixels whose gradient stencil touches an invalid
 sample are skipped.
+
+The image kernels compute in the dtype of their image input: float32
+stays float32 and every other input is computed in float64. Gather
+indices are int32 wherever a frame's pixel count fits.
 """
 
 import functools
@@ -46,47 +50,70 @@ class FlowBasis:
         return u, v
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _float_dtype(arr):
+    """float32 for a float32 array, float64 for every other one."""
+    return arr.dtype if arr.dtype == np.float32 else _F64
+
+
+def _index_dtype(h, w):
+    """int32 while the flat indices of an h x w frame fit in it."""
+    return np.int32 if h * w <= np.iinfo(np.int32).max else np.intp
+
+
 @functools.lru_cache(maxsize=16)
-def pixel_grid(h, w, f, cx, cy):
+def pixel_grid(h, w, f, cx, cy, dtype):
     """(columns, rows, FlowBasis) of every pixel of an h x w frame.
 
     Columns are a length-w row and rows an h x 1 column, so that they
-    broadcast to the frame. Computed once per key and read-only.
+    broadcast to the frame. All are of the float `dtype` (a numpy dtype);
+    the camera enters as Python floats so that it does not promote them.
+    Computed once per key and read-only.
     """
-    cols = np.arange(w, dtype=np.float64)
-    rows = np.arange(h, dtype=np.float64)[:, None]
-    basis = FlowBasis(cols - cx, rows - cy, f)
+    cols = np.arange(w, dtype=dtype)
+    rows = np.arange(h, dtype=dtype)[:, None]
+    basis = FlowBasis(cols - float(cx), rows - float(cy), float(f))
     for a in (cols, rows, *vars(basis).values()):
         a.setflags(write=False)
     return cols, rows, basis
 
 
-def _sample_positions(h, w, wx, wy, wz, f, cx, cy):
+def _sample_positions(h, w, wx, wy, wz, f, cx, cy, dtype):
     """Sampling positions (sx, sy) of every pixel of an h x w frame."""
-    cols, rows, basis = pixel_grid(h, w, f, cx, cy)
-    sx, sy = basis.flow(wx, wy, wz)
+    cols, rows, basis = pixel_grid(h, w, f, cx, cy, dtype)
+    # Python floats: a numpy float64 angle would promote a float32 grid
+    sx, sy = basis.flow(float(wx), float(wy), float(wz))
     sx += cols
     sy += rows
     return sx, sy
 
 
 def warp_bilinear(src, wx, wy, wz, f, cx, cy):
-    """Backward-warp src with bilinear sampling; returns (warped, valid)."""
-    src = np.asarray(src, dtype=np.float64)
+    """Backward-warp src with bilinear sampling; returns (warped, valid).
+
+    `warped` is float32 for a float32 src and float64 otherwise.
+    """
+    src = np.asarray(src)
+    dtype = _float_dtype(src)
+    src = src.astype(dtype, copy=False)
     h, w = src.shape
-    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy)
+    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy, dtype)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    ix = np.clip(x0, 0, w - 1, out=x0).astype(np.intp)
-    iy = np.clip(y0, 0, h - 1, out=y0).astype(np.intp)
+    index = _index_dtype(h, w)
+    ix = np.clip(x0, 0, w - 1, out=x0).astype(index)
+    iy = np.clip(y0, 0, h - 1, out=y0).astype(index)
     # flat indices of the four neighbours; the far ones clamp at the edge
     i00 = iy * w
     i00 += ix
     i01 = i00 + (ix < w - 1)
-    down = (iy < h - 1) * w
+    down = (iy < h - 1).astype(index)
+    down *= w
     flat = src.ravel()
     gx = 1.0 - fx
     top = gx * flat.take(i00)
@@ -103,10 +130,11 @@ def warp_nearest(mask, wx, wy, wz, f, cx, cy):
     """Backward-warp a boolean mask with half-up nearest sampling."""
     mask = np.asarray(mask, dtype=np.bool_)
     h, w = mask.shape
-    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy)
+    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy, _F64)
     valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(np.intp)
-    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(np.intp)
+    index = _index_dtype(h, w)
+    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(index)
+    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(index)
     return mask.ravel().take(iy * w + ix) & valid
 
 
@@ -114,7 +142,8 @@ def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
     """Gauss-Newton terms (hess, grad, sse, count) of warped against obs.
 
     `warped` and `valid` are a `warp_bilinear` result, so that the step
-    that accepted a warp reuses it.
+    that accepted a warp reuses it. The per-pixel terms are computed in
+    `warped`'s dtype, so `obs` should share it.
     """
     h, w = warped.shape
     gy, gx = np.gradient(warped)
@@ -134,7 +163,7 @@ def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
         inner[skip:h - skip, skip:w - skip] = True
         ok &= inner
 
-    _, _, b = pixel_grid(h, w, f, cx, cy)
+    _, _, b = pixel_grid(h, w, f, cx, cy, _float_dtype(warped))
     jx = (gy * b.fy - gx * b.xy)[ok]
     jy = (gx * b.fx + gy * b.xy)[ok]
     jz = (gy * b.x - gx * b.y)[ok]

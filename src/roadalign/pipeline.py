@@ -215,8 +215,10 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     The mask for observed frame t is produced while frame t + lag is
     being processed and lands in out_dir/mask_%06d.pgm under t's on-disk
     index, which also names t in sync.csv; frame numbers may start above
-    0 and have gaps. The trailing lag frames get no mask. Sync losses
-    and registration failures skip the frame and the stream continues.
+    0 and have gaps. The trailing lag frames get no mask. A sync loss
+    leaves the frame whose label was due without a mask, and the stream
+    continues. A failed registration skips nothing: the mask is carried
+    across at the identity rotation and the row's residual is nan.
     The observed frames are listed before the reference is loaded, and
     every one's header is checked (size against the reference, color
     when a space is invariant) before out_dir is made, so bad input

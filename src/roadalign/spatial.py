@@ -103,9 +103,9 @@ def warp_image(src, omega, intrinsics):
     """Backward-warp src by the rotation flow with bilinear sampling.
 
     Returns (warped, valid); pixels whose sampling position leaves the
-    image are zero and marked invalid.
+    image are zero and marked invalid. `warped` is float32 for a float32
+    src and float64 for any other.
     """
-    src = np.asarray(src, dtype=np.float64)
     return _kernels.warp_bilinear(
         src, omega.omega_x, omega.omega_y, omega.omega_z,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy,
@@ -181,11 +181,15 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
     also ends after an accepted step, or at a halved step, that moves no
     pixel of the level by MIN_STEP_PX or more.
 
+    Both pyramids, their warps and the Gauss-Newton terms are float32;
+    the angles, the normal equations and the residual are float64.
+
     Returns (RotationParams, mean squared residual on the finest level,
     (warped, valid)). The last is the finest level's warp of the
-    reference at the returned rotation, the one that accepted it; it
-    equals `warp_image(reference_frame, omega, intrinsics)`, so that
-    `transfer_and_refine` need not warp the same frame again.
+    reference at the returned rotation, the one that accepted it; it is
+    the float32 warp `warp_image(reference_frame.astype(np.float32),
+    omega, intrinsics)`, so that `transfer_and_refine` need not warp the
+    same frame again.
     Raises AlignmentError on singular normal equations, non-finite
     values, or estimates leaving the small-rotation range.
     """
@@ -197,8 +201,10 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
     omega = (init or RotationParams()).as_array().copy()
     skip = settings.robust_skip
 
-    pyr_ref = build_pyramid(ref, settings.pyramid_levels)
-    pyr_obs = build_pyramid(obs, settings.pyramid_levels)
+    pyr_ref = [a.astype(np.float32)
+               for a in build_pyramid(ref, settings.pyramid_levels)]
+    pyr_obs = [a.astype(np.float32)
+               for a in build_pyramid(obs, settings.pyramid_levels)]
     levels = min(len(pyr_ref), len(pyr_obs))
 
     mse = math.inf

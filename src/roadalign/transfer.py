@@ -164,10 +164,10 @@ def transfer_and_refine(reference_mask, reference_frame, observed_frame,
                         warp=None):
     """Warp the reference road mask and subtract detected foreground.
 
-    `warp`, when given, is the (warped, valid) pair of
-    `warp_image(reference_frame, omega, intrinsics)`, computed before
-    (`lk_align` returns it for its final rotation); otherwise the frame
-    is warped here. The output is always a subset of the warped mask.
+    `warp`, when given, is a (warped, valid) warp of `reference_frame`
+    at `omega` computed before: `lk_align` returns its float32 one for
+    its final rotation. Otherwise the frame is warped here.
+    The output is always a subset of the warped mask.
     """
     transferred = warp_mask(reference_mask, omega, intrinsics)
     if warp is None:

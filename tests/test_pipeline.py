@@ -245,6 +245,23 @@ def test_align_warps_each_reference_frame_once_per_candidate(
     assert calls["warp_sse"] > 0
     assert calls["warp_bilinear"] == calls["warp_sse"]
 
+
+def test_align_registers_in_float32(mini_pair, mini_cfg, tmp_path,
+                                    monkeypatch):
+    # a stray float64 scalar would promote the whole registration to
+    # float64 without failing anything else
+    lk_accumulate = _kernels.lk_accumulate
+    dtypes = set()
+
+    def spied(warped, valid, obs, *args):
+        dtypes.update((warped.dtype, obs.dtype))
+        return lk_accumulate(warped, valid, obs, *args)
+
+    monkeypatch.setattr(_kernels, "lk_accumulate", spied)
+    run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert dtypes == {np.dtype(np.float32)}
+
+
 @pytest.mark.parametrize("run", [run_align, run_groundtruth])
 def test_sync_csv_score_is_the_frames_observation_term(run, mini_pair,
                                                        mini_cfg, tmp_path):

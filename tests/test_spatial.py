@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from helpers import textured_image
+from helpers import (loop_lk_terms, loop_masked_sse, loop_warp_bilinear,
+                     textured_image)
 
 from roadalign import _kernels
 from roadalign.errors import AlignmentError
@@ -107,6 +108,26 @@ def test_ssd_gradient_matches_finite_differences():
         assert grad[axis] == pytest.approx(fd, rel=1e-4)
 
 
+def test_ssd_objective_and_gradient_stay_float64():
+    # only lk_align registers in float32; on float64 frames the objective
+    # and its gradient keep the float64 oracles' tolerances
+    ref = textured_image(48, (60, 80))
+    obs = textured_image(49, (60, 80))
+    k = CameraIntrinsics(250.0, 39.5, 29.5)
+    omega = RotationParams(0.004, -0.006, 0.002)
+    warped, valid = loop_warp_bilinear(ref, *omega.as_array(), k.focal_px,
+                                       k.cx, k.cy)
+    sse, n = ssd_objective(ref, obs, omega, k)
+    s_lp, n_lp = loop_masked_sse(warped, valid, obs, 2)
+    assert n == n_lp
+    assert sse == pytest.approx(s_lp, rel=1e-10)
+    grad = ssd_gradient(ref, obs, omega, k)
+    _, g_lp, _, _ = loop_lk_terms(warped, valid, obs, k.focal_px, k.cx,
+                                  k.cy, 2)
+    assert grad.dtype == np.float64
+    assert np.allclose(grad, 2.0 * g_lp, rtol=1e-10, atol=1e-12)
+
+
 def test_lk_align_recovers_known_rotation():
     ref = textured_image(45, (120, 160))
     omega_true = RotationParams(0.006, -0.004, 0.008)
@@ -118,15 +139,17 @@ def test_lk_align_recovers_known_rotation():
     assert mse <= initial / n0  # never worse than the identity start
 
 
-
 @pytest.mark.parametrize("levels", [1, 3])
 def test_lk_align_returns_the_warp_of_its_rotation(levels):
     ref = textured_image(47, (120, 160))
     obs, _ = warp_image(ref, RotationParams(-0.005, 0.007, 0.003), INTR)
     est, _, (warped, valid) = lk_align(ref, obs, INTR, LKSettings(levels))
-    fresh, fresh_valid = warp_image(ref, est, INTR)
+    # registration runs in float32, so its warp is that of the float32 frame
+    fresh, fresh_valid = warp_image(ref.astype(np.float32), est, INTR)
+    assert warped.dtype == np.float32
     assert np.array_equal(warped, fresh)
     assert np.array_equal(valid, fresh_valid)
+
 
 def test_lk_align_accepts_warm_start():
     ref = textured_image(46, (120, 160))
