@@ -1,5 +1,6 @@
 """Pipeline configuration: key=value files plus command-line overrides."""
 
+import math
 import types
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -74,6 +75,10 @@ class PipelineConfig:
     diff_space: str = "invariant"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         if self.feature_space not in _FEATURE_SPACES:
             raise ConfigError(f"feature_space must be one of {_FEATURE_SPACES}")
         if self.diff_space not in _FEATURE_SPACES:

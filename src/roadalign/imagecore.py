@@ -12,7 +12,6 @@ for j = r down to 1. That is the order in which scipy.ndimage sums an odd
 symmetric kernel, so both give the same bits.
 """
 
-import logging
 import math
 import os
 from pathlib import Path
@@ -24,8 +23,6 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedMaxvalError,
 )
-
-logger = logging.getLogger(__name__)
 
 # Channels of color images are clamped away from zero so log-chromaticity
 # ratios stay finite.
@@ -263,14 +260,12 @@ def pyramid_depth(shape, levels):
 def build_pyramid(img, levels):
     """Coarse-to-fine pyramid: smooth (sigma 1) then halve, per level.
 
-    Levels whose dimensions would drop below 16x16 are not built; the
-    pyramid is then shorter than requested and the reduction is logged.
+    Levels whose dimensions would drop below 16x16 are not built, so
+    the pyramid holds `pyramid_depth(img.shape, levels)` levels; a
+    shorter pyramid than requested is not reported here.
     """
     arr = np.asarray(img, dtype=np.float64)
     depth = pyramid_depth(arr.shape, levels)
-    if depth < levels:
-        logger.warning("pyramid clamped to %d of %d levels for %dx%d frames",
-                       depth, levels, arr.shape[1], arr.shape[0])
     pyramid = [arr]
     while len(pyramid) < depth:
         pyramid.append(downsample(gaussian_smooth(pyramid[-1], 1.0), 2))

@@ -10,13 +10,13 @@ import logging
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .descriptor import DescriptorBank, compute_descriptor
-from .errors import AlignmentError, DataError, SyncLossError
+from .errors import AlignmentError, DataError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
 from .imagecore import (load_image, load_mask, pyramid_depth,
@@ -36,7 +36,10 @@ _MASK_RE = re.compile(r"mask_(\d+)\.pgm$")
 
 
 def list_frames(directory):
-    """Sorted (index, path) pairs of frame files; empty dir is a DataError."""
+    """Sorted (index, path) pairs of frame files.
+
+    An empty directory, or two files with one frame number, is a DataError.
+    """
     return _list_indexed(directory, _FRAME_RE, "frame")
 
 
@@ -56,6 +59,9 @@ def _list_indexed(directory, pattern, kind):
     if not found:
         raise DataError(f"no {kind} files in {directory}")
     found.sort()
+    for (i, a), (j, b) in zip(found, found[1:]):
+        if i == j:
+            raise DataError(f"{kind} number {i} is repeated: {a} and {b}")
     return found
 
 
@@ -151,15 +157,14 @@ class _Registration:
 def _registration(cfg, shape, refine):
     """The settings of every registration in a run on frames of `shape`.
 
-    The pyramid is clamped to the levels that `shape` allows, with one
-    warning for the run.
+    Frames of `shape` may allow fewer pyramid levels than configured;
+    `build_pyramid` then builds only those, and the run warns once here.
     """
     levels = pyramid_depth(shape, cfg.pyramid_levels)
     if levels < cfg.pyramid_levels:
         logger.warning("pyramid clamped to %d of %d levels for %dx%d frames",
                        levels, cfg.pyramid_levels, shape[1], shape[0])
-    return _Registration(cfg.intrinsics(shape[1], shape[0]),
-                         replace(cfg.lk_settings(), pyramid_levels=levels),
+    return _Registration(cfg.intrinsics(shape[1], shape[0]), cfg.lk_settings(),
                          cfg.refine_settings() if refine else None)
 
 
@@ -215,10 +220,9 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     The mask for observed frame t is produced while frame t + lag is
     being processed and lands in out_dir/mask_%06d.pgm under t's on-disk
     index, which also names t in sync.csv; frame numbers may start above
-    0 and have gaps. The trailing lag frames get no mask. A sync loss
-    leaves the frame whose label was due without a mask, and the stream
-    continues. A failed registration skips nothing: the mask is carried
-    across at the identity rotation and the row's residual is nan.
+    0 and have gaps. The trailing lag frames get no mask. A failed
+    registration skips nothing: the mask is carried across at the
+    identity rotation and the row's residual is nan.
     The observed frames are listed before the reference is loaded, and
     every one's header is checked (size against the reference, color
     when a space is invariant) before out_dir is made, so bad input
@@ -238,16 +242,10 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     # (on-disk index, feature, diff image) of the last lag + 1 pushes; an
     # emission names the oldest
     pending = deque(maxlen=cfg.lag + 1)
-    losses = 0
     for t, path in indexed:
         feat, obs_diff = _load_frame(path, cfg, direction, shape)
         pending.append((t, feat, obs_diff))
-        try:
-            emission = sync.push(compute_descriptor(feat, params))
-        except SyncLossError as exc:
-            losses += 1
-            logger.warning("sync lost at frame %d (%s); frame skipped", t, exc)
-            emission = None
+        emission = sync.push(compute_descriptor(feat, params))
         if emission is not None:
             if on_emit is not None:
                 on_emit(t, emission)
@@ -258,8 +256,6 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
             rows.append(AlignRow(index, emission.label, emission.score, omega,
                                  residual))
     _write_sync_csv(out, rows)
-    if losses:
-        logger.warning("%d frame(s) skipped due to sync loss", losses)
     return rows
 
 

@@ -172,14 +172,15 @@ def _step_bound(intrinsics, shape):
                      [-corner.fy, corner.xy, corner.x]])
 
 
-def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=None):
+def lk_align(reference_frame, observed_frame, intrinsics, settings=None):
     """Estimate the rotation aligning reference onto observed.
 
-    Coarse-to-fine Gauss-Newton over the three angles. Each candidate
-    step must not increase the mean squared residual; on increase the
-    step is halved up to 8 times, after which the level ends. A level
-    also ends after an accepted step, or at a halved step, that moves no
-    pixel of the level by MIN_STEP_PX or more.
+    Coarse-to-fine Gauss-Newton over the three angles, from zero, over
+    the levels that `build_pyramid` builds for the frame size. Each
+    candidate step must not increase the mean squared residual; on
+    increase the step is halved up to 8 times, after which the level
+    ends. A level also ends after an accepted step, or at a halved step,
+    that moves no pixel of the level by MIN_STEP_PX or more.
 
     Both pyramids, their warps and the Gauss-Newton terms are float32;
     the angles, the normal equations and the residual are float64.
@@ -198,17 +199,16 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None, init=No
     obs = np.asarray(observed_frame, dtype=np.float64)
     if ref.shape != obs.shape:
         raise ValueError("frame shapes differ")
-    omega = (init or RotationParams()).as_array().copy()
+    omega = np.zeros(3)
     skip = settings.robust_skip
 
     pyr_ref = [a.astype(np.float32)
                for a in build_pyramid(ref, settings.pyramid_levels)]
     pyr_obs = [a.astype(np.float32)
                for a in build_pyramid(obs, settings.pyramid_levels)]
-    levels = min(len(pyr_ref), len(pyr_obs))
 
     mse = math.inf
-    for level in range(levels - 1, -1, -1):
+    for level in range(len(pyr_ref) - 1, -1, -1):
         k = intrinsics.scaled(2 ** level)
         r_img = pyr_ref[level]
         o_img = pyr_obs[level]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import save_image_rgb, save_mask
+from .imagecore import pyramid_depth, save_image_rgb, save_mask
 
 MAX_JITTER = 0.02  # radians per axis
 
@@ -486,8 +486,7 @@ def make_pair(scene, ride_ref, ride_obs, out_dir):
 
 def _scene_cfg_text(scene, ride_ref, ride_obs):
     track = ";".join(f"{x:.10g},{y:.10g}" for x, y in scene.track_points)
-    side = min(scene.image_width, scene.image_height)
-    levels = max(1, min(3, int(math.log2(side / 16.0)) + 1))
+    levels = pyramid_depth((scene.image_height, scene.image_width), 3)
     lines = [
         "# generated scene; also usable as an align/groundtruth config",
         f"theta={scene.theta:.10g}",

@@ -6,13 +6,12 @@ pedestrians, anything that moved) are detected by thresholding the
 absolute difference image and removed from the mask. Refinement only
 ever removes pixels.
 
-Connected components are found on runs, the maximal stretches of set
-pixels in a row. A run joins the runs of the row above that share a
-column with it (4-connectivity) or also touch it diagonally
-(8-connectivity); these pairs come from `searchsorted` over the runs'
-starts and stops. The pairs are merged by hooking each root onto the
-smaller of the two roots, with pointer jumping, until every pair shares
-a root.
+Connected components (4-connected) are found on runs, the maximal
+stretches of set pixels in a row. A run joins the runs of the row above
+that share a column with it; these pairs come from `searchsorted` over
+the runs' starts and stops. The pairs are merged by hooking each root
+onto the smaller of the two roots, with pointer jumping, until every
+pair shares a root.
 """
 
 from dataclasses import dataclass
@@ -24,13 +23,10 @@ from .spatial import warp_image, warp_mask
 
 @dataclass(frozen=True)
 class RefineSettings:
-    fill_hole_connectivity: int = 4
     min_blob_px: int = 25
     histogram_bins: int = 256
 
     def __post_init__(self):
-        if self.fill_hole_connectivity not in (4, 8):
-            raise ValueError("fill_hole_connectivity must be 4 or 8")
         if self.min_blob_px < 0:
             raise ValueError("min_blob_px must be non-negative")
         if self.histogram_bins < 2:
@@ -70,14 +66,12 @@ def otsu_threshold(img, bins=256):
     return k / bins
 
 
-def _components(mask, connectivity):
-    """Runs of True in `mask` and the connected component of each run.
+def _components(mask):
+    """Runs of True in `mask` and the 4-connected component of each run.
 
     Returns the runs' rows, starts and stops (exclusive), in row order,
     and for each run the index of its component's first run.
     """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     h, w = mask.shape
     edged = np.zeros((h, w + 2), dtype=bool)
     edged[:, 1:-1] = mask
@@ -85,11 +79,9 @@ def _components(mask, connectivity):
     rows, starts, stops = rows[::2], cols[::2], cols[1::2]
     # keys order runs by row, then column; a row's keys never reach the next
     stride = w + 2
-    reach = int(connectivity == 8)
     above = (rows - 1) * stride
-    first = np.searchsorted(rows * stride + stops, above + starts - reach,
-                            side="right")
-    last = np.searchsorted(rows * stride + starts, above + stops + reach)
+    first = np.searchsorted(rows * stride + stops, above + starts, side="right")
+    last = np.searchsorted(rows * stride + starts, above + stops)
     count = np.maximum(last - first, 0)
     root = np.arange(len(rows))
     # run a[p] touches run b[p] of the row above
@@ -114,11 +106,11 @@ def _paint(shape, rows, starts, stops):
     return np.cumsum(edges, axis=1, dtype=np.int8)[:, :w].astype(bool)
 
 
-def fill_holes(mask, connectivity=4):
-    """Fill background regions not connected to the image border."""
+def fill_holes(mask):
+    """Fill background regions not 4-connected to the image border."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    rows, starts, stops, root = _components(~mask, connectivity)
+    rows, starts, stops, root = _components(~mask)
     on_border = (rows == 0) | (rows == h - 1) | (starts == 0) | (stops == w)
     outside = np.zeros(len(rows), dtype=bool)
     outside[root[on_border]] = True
@@ -126,12 +118,12 @@ def fill_holes(mask, connectivity=4):
     return mask | _paint(mask.shape, rows[hole], starts[hole], stops[hole])
 
 
-def remove_small_components(mask, min_px, connectivity=4):
-    """Drop connected components smaller than min_px pixels."""
+def remove_small_components(mask, min_px):
+    """Drop 4-connected components smaller than min_px pixels."""
     mask = np.asarray(mask, dtype=bool)
     if min_px <= 1 or not mask.any():
         return mask.copy()
-    rows, starts, stops, root = _components(mask, connectivity)
+    rows, starts, stops, root = _components(mask)
     sizes = np.bincount(root, weights=stops - starts)
     keep = sizes[root] >= min_px
     return _paint(mask.shape, rows[keep], starts[keep], stops[keep])
@@ -154,9 +146,7 @@ def detect_foreground(reference_warped, observed, valid, settings=RefineSettings
     diff = np.abs(ref - obs)
     threshold = otsu_threshold(diff[valid], settings.histogram_bins)
     raw = (diff > threshold) & valid
-    filled = fill_holes(raw, settings.fill_hole_connectivity)
-    return remove_small_components(filled, settings.min_blob_px,
-                                   settings.fill_hole_connectivity)
+    return remove_small_components(fill_holes(raw), settings.min_blob_px)
 
 
 def transfer_and_refine(reference_mask, reference_frame, observed_frame,

@@ -399,17 +399,13 @@ def scipy_gaussian_smooth(img, sigma):
     return ndimage.convolve1d(out, kernel, axis=1, mode="nearest")
 
 
-_STRUCTURES = {
-    4: ndimage.generate_binary_structure(2, 1),
-    8: np.ones((3, 3), dtype=bool),
-}
+_STRUCTURE_4 = ndimage.generate_binary_structure(2, 1)  # 4-connectivity
 
 
-def scipy_fill_holes(mask, connectivity=4):
-    """Fill background regions not connected to the image border."""
+def scipy_fill_holes(mask):
+    """Fill background regions not 4-connected to the image border."""
     mask = np.asarray(mask, dtype=bool)
-    structure = _STRUCTURES[connectivity]
-    labels, _ = ndimage.label(~mask, structure=structure)
+    labels, _ = ndimage.label(~mask, structure=_STRUCTURE_4)
     border = np.concatenate([
         labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]
     ])
@@ -418,12 +414,12 @@ def scipy_fill_holes(mask, connectivity=4):
     return mask | holes
 
 
-def scipy_remove_small_components(mask, min_px, connectivity=4):
-    """Drop connected components smaller than min_px pixels."""
+def scipy_remove_small_components(mask, min_px):
+    """Drop 4-connected components smaller than min_px pixels."""
     mask = np.asarray(mask, dtype=bool)
     if min_px <= 1 or not mask.any():
         return mask.copy()
-    labels, count = ndimage.label(mask, structure=_STRUCTURES[connectivity])
+    labels, count = ndimage.label(mask, structure=_STRUCTURE_4)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     keep = sizes >= min_px
     keep[0] = False

@@ -114,6 +114,30 @@ def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side,extra,twin", [
+    ("obs", "old_frame_000003.ppm", "frame_000003.ppm"),
+    ("ref", "frame_4.ppm", "frame_000004.ppm"),
+])
+def test_repeated_frame_number_is_a_data_error(mini_pair, tmp_path, capsys,
+                                               side, extra, twin):
+    # a second file with the number of another, observed or reference,
+    # would pair one frame's mask or sync.csv row with two frames
+    dirs = {"ref": mini_pair.ref, "obs": mini_pair.obs}
+    copy = tmp_path / side
+    copy.mkdir()
+    for path in dirs[side].iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    (copy / extra).write_bytes((copy / twin).read_bytes())
+    dirs[side] = copy
+    out = tmp_path / "out"
+    code = main(["align", str(dirs["ref"]), str(dirs["obs"]), str(out),
+                 "--config", str(mini_pair.root / "scene.cfg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert extra in err and twin in err
+    assert not out.exists()
+
+
 def _write_gray(img, path):
     """Write a color frame's mean as a binary PGM (P5) frame."""
     h, w, _ = img.shape
@@ -156,6 +180,9 @@ def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
     (["--band", "abc"], ""),
     ([], "window=0\n"),
     ([], "downsample_factor=0\n"),
+    ([], "smooth_sigma=inf\n"),
+    ([], "mu_y=inf\n"),
+    ([], "cx=inf\n"),
 ])
 def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
                                                    extra, config_line):

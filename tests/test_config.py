@@ -97,6 +97,12 @@ def test_bad_values_raise_config_error(tmp_path):
     ("min_blob_px=-1", "min_blob_px"),
     ("theta=nan", "theta"),
     ("focal_px=nan", "focal_px"),
+    ("mu_y=inf", "mu_y"),
+    ("mu_y=nan", "mu_y"),
+    ("smooth_sigma=inf", "smooth_sigma"),
+    ("focal_px=inf", "focal_px"),
+    ("cx=nan", "cx"),
+    ("cy=-inf", "cy"),
 ])
 def test_bad_value_fails_at_load(tmp_path, line, key):
     p = _write(tmp_path, f"theta=0.7\nfocal_px=150\n{line}\n")

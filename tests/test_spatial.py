@@ -151,14 +151,6 @@ def test_lk_align_returns_the_warp_of_its_rotation(levels):
     assert np.array_equal(valid, fresh_valid)
 
 
-def test_lk_align_accepts_warm_start():
-    ref = textured_image(46, (120, 160))
-    omega_true = RotationParams(0.004, 0.003, -0.002)
-    obs, _ = warp_image(ref, omega_true, INTR)
-    est, _, _ = lk_align(ref, obs, INTR, init=RotationParams(0.003, 0.002, 0.0))
-    assert np.abs(est.as_array() - omega_true.as_array()).max() <= 2e-4
-
-
 def test_lk_align_warps_each_candidate_once(monkeypatch):
     # pinned counts; a solver that warps again for every Gauss-Newton step
     # and halves each level's last step down to 1e-7 rad makes 191

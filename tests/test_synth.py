@@ -1,10 +1,12 @@
 import filecmp
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from roadalign.imagecore import load_image, load_mask
+from roadalign.config import read_key_values
+from roadalign.imagecore import load_image, load_mask, pyramid_depth
 from roadalign.invariant import log_chroma_projection, rgb_to_invariant
 from roadalign.synth import (PRESETS, RideSpec, SceneSpec, ShadowBand,
                              Vehicle, correspondence_from_arcs, make_pair,
@@ -280,6 +282,20 @@ def test_pair_layout_and_truth_files(tmp_path):
     mask = load_mask(root / "obs" / "mask_000003.pgm")
     assert mask.shape == (60, 80)
     assert mask.any()
+
+
+def test_scene_cfg_pyramid_levels_are_the_pyramid_depth(street_pair, mini_pair,
+                                                        tmp_path):
+    # 31 px halve once to 16 px, so a 40x31 scene gets 2 levels, as the
+    # 80x60 mini scene does (60 px halve to 30, then to 15)
+    narrow = replace(TINY, image_width=40, image_height=31)
+    make_pair(narrow, RideSpec(), RideSpec(), tmp_path / "narrow")
+    for root, scene, levels in [(street_pair.root, street_pair.scene, 3),
+                                (mini_pair.root, mini_pair.scene, 2),
+                                (tmp_path / "narrow", narrow, 2)]:
+        written = int(read_key_values(root / "scene.cfg")["pyramid_levels"])
+        shape = (scene.image_height, scene.image_width)
+        assert written == pyramid_depth(shape, 3) == levels
 
 
 def test_presets_registry():

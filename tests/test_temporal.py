@@ -1,13 +1,15 @@
 import helpers
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (RebuildingSynchronizer, brute_force_map,
                      full_width_fixed_lag_infer, loop_map_sequence,
                      naive_monotone_best, textured_image)
 
 from roadalign import temporal
-from roadalign.descriptor import (DescriptorBank, DescriptorParams,
-                                  compute_descriptor)
+from roadalign.descriptor import (Descriptor, DescriptorBank,
+                                  DescriptorParams, compute_descriptor)
 from roadalign.errors import SyncLossError
 from roadalign.temporal import (OnlineSynchronizer, SyncConfig,
                                 build_likelihood_table, fixed_lag_infer,
@@ -545,6 +547,45 @@ def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
     assert cached == rebuilt
     assert "loss" in cached
     assert cached[-1] != "loss"
+
+
+@st.composite
+def _random_descriptors(draw, count):
+    """`count` random 3x4 descriptors, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return [Descriptor.from_gradients(*(np.zeros((2, 3, 4)) if z
+                                        else rng.normal(size=(2, 3, 4))))
+            for z in zero]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), members=st.integers(1, 8), pushes=st.integers(1, 14),
+       band=st.sampled_from([None, 0, 1, 2, 4]), lag=st.integers(0, 3),
+       extra=st.integers(0, 3), max_shift=st.integers(0, 2),
+       mu_y=st.floats(-2.0, 2.0))
+def test_online_synchronizer_emits_once_per_push_after_the_lag(
+        data, members, pushes, band, lag, extra, max_shift, mu_y):
+    # every term is finite, so the last emitted label always stays
+    # feasible: no bank, probe (zero descriptors included), band or
+    # lag/window pair can make a push lose sync
+    bank = DescriptorBank(data.draw(_random_descriptors(members)))
+    probes = data.draw(_random_descriptors(pushes))
+    cfg = SyncConfig(lag_l=lag, window_L=lag + extra, candidate_band=band)
+    params = DescriptorParams(max_shift=max_shift, mu_y=mu_y)
+    sync = OnlineSynchronizer(bank, cfg, params)
+    labels = []
+    for i, d in enumerate(probes):
+        emission = sync.push(d)
+        if i < lag:
+            assert emission is None
+            continue
+        assert emission.observed_index == i - lag
+        assert 1 <= emission.label <= members
+        assert np.isfinite(emission.score)
+        labels.append(emission.label)
+    assert len(labels) == max(pushes - lag, 0)
+    assert labels == sorted(labels)
 
 
 def test_synchronize_online_stream():

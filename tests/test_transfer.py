@@ -14,8 +14,6 @@ from roadalign.transfer import (RefineSettings, detect_foreground, fill_holes,
 
 def test_refine_settings_validation():
     with pytest.raises(ValueError):
-        RefineSettings(fill_hole_connectivity=6)
-    with pytest.raises(ValueError):
         RefineSettings(min_blob_px=-1)
     with pytest.raises(ValueError):
         RefineSettings(histogram_bins=1)
@@ -57,16 +55,15 @@ def test_fill_holes_connectivity():
     donut = np.zeros((7, 7), dtype=bool)
     donut[1:6, 1:6] = True
     donut[3, 3] = False
-    filled = fill_holes(donut, 4)
+    filled = fill_holes(donut)
     assert filled[3, 3]
     assert filled.sum() == donut.sum() + 1
-    # a diagonal channel: 4-connected background cannot escape, 8-connected can
+    # a diagonal channel: 4-connected background cannot escape through it
     leaky = np.ones((5, 5), dtype=bool)
     leaky[2, 2] = False
     leaky[1, 1] = False
     leaky[0, 0] = False
-    assert fill_holes(leaky, 4)[2, 2]
-    assert not fill_holes(leaky, 8)[2, 2]
+    assert fill_holes(leaky)[2, 2]
 
 
 def test_remove_small_components():
@@ -81,15 +78,6 @@ def test_remove_small_components():
     same = remove_small_components(mask, 1)
     assert np.array_equal(same, mask)
     assert same is not mask
-
-
-def test_connectivity_must_be_4_or_8():
-    mask = np.zeros((5, 5), dtype=bool)
-    mask[1:4, 1:4] = True
-    with pytest.raises(ValueError):
-        fill_holes(mask, 6)
-    with pytest.raises(ValueError):
-        remove_small_components(mask, 2, 6)
 
 
 def _spiral(h, w):
@@ -135,32 +123,26 @@ def _masks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mask=_masks(), connectivity=st.sampled_from([4, 8]))
-def test_fill_holes_equals_scipy(mask, connectivity):
-    assert np.array_equal(fill_holes(mask, connectivity),
-                          scipy_fill_holes(mask, connectivity))
+@given(mask=_masks())
+def test_fill_holes_equals_scipy(mask):
+    assert np.array_equal(fill_holes(mask), scipy_fill_holes(mask))
 
 
 @settings(max_examples=300, deadline=None)
-@given(mask=_masks(), connectivity=st.sampled_from([4, 8]),
-       min_px=st.sampled_from([0, 1, 2, 25]))
-def test_remove_small_components_equals_scipy(mask, connectivity, min_px):
-    assert np.array_equal(remove_small_components(mask, min_px, connectivity),
-                          scipy_remove_small_components(mask, min_px,
-                                                        connectivity))
+@given(mask=_masks(), min_px=st.sampled_from([0, 1, 2, 25]))
+def test_remove_small_components_equals_scipy(mask, min_px):
+    assert np.array_equal(remove_small_components(mask, min_px),
+                          scipy_remove_small_components(mask, min_px))
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_labeling_equals_scipy_on_frame_sized_masks(connectivity):
+def test_labeling_equals_scipy_on_frame_sized_masks():
     rng = np.random.default_rng(56)
     for density in (0.05, 0.3, 0.5, 0.7):
         mask = rng.random((120, 160)) < density
-        assert np.array_equal(fill_holes(mask, connectivity),
-                              scipy_fill_holes(mask, connectivity))
+        assert np.array_equal(fill_holes(mask), scipy_fill_holes(mask))
         for min_px in (2, 25):
-            assert np.array_equal(
-                remove_small_components(mask, min_px, connectivity),
-                scipy_remove_small_components(mask, min_px, connectivity))
+            assert np.array_equal(remove_small_components(mask, min_px),
+                                  scipy_remove_small_components(mask, min_px))
 
 
 def test_detect_foreground_finds_inserted_object():
