@@ -97,8 +97,7 @@ def cmd_align(args):
 
 def cmd_groundtruth(args):
     cfg = PipelineConfig.load(args.config, _overrides(args))
-    ref, obs = (args.obs, args.ref) if args.swap else (args.ref, args.obs)
-    rows = run_groundtruth(ref, obs, args.out, cfg,
+    rows = run_groundtruth(args.ref, args.obs, args.out, cfg,
                            refine=not args.no_refine)
     print(f"transferred {len(rows)} mask(s) under {args.out}")
     return 0
@@ -113,7 +112,7 @@ def cmd_eval(args):
     return 0
 
 
-def _add_pipeline_flags(sub, swap=False):
+def _add_pipeline_flags(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--lag", help="emission delay in frames (default 5)")
     sub.add_argument("--window", help="smoothing window length (default 10)")
@@ -125,9 +124,6 @@ def _add_pipeline_flags(sub, swap=False):
     sub.add_argument("--no-refine", action="store_true",
                      help="emit raw transferred masks without background "
                           "subtraction")
-    if swap:
-        sub.add_argument("--swap", action="store_true",
-                         help="interchange reference and observed roles")
 
 
 def _build_parser():
@@ -154,7 +150,7 @@ def _build_parser():
     p.add_argument("ref", help="reference ride directory (frames + masks)")
     p.add_argument("obs", help="observed ride directory (frames)")
     p.add_argument("out", help="output directory for masks and sync.csv")
-    _add_pipeline_flags(p, swap=True)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_groundtruth)
 
     p = subs.add_parser("eval", help="score result masks against truth")

@@ -72,7 +72,6 @@ class PipelineConfig:
     min_blob_px: int = 25
     histogram_bins: int = 256
     feature_space: str = "invariant"
-    diff_space: str = "invariant"
 
     def __post_init__(self):
         for f in fields(self):
@@ -81,8 +80,6 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.feature_space not in _FEATURE_SPACES:
             raise ConfigError(f"feature_space must be one of {_FEATURE_SPACES}")
-        if self.diff_space not in _FEATURE_SPACES:
-            raise ConfigError(f"diff_space must be one of {_FEATURE_SPACES}")
         if not self.focal_px > 0:
             raise ConfigError("focal_px must be positive")
         if self.lag < 0:
@@ -122,6 +119,14 @@ class PipelineConfig:
                     raise ConfigError(f"missing required key: {f.name}")
                 continue
             values[f.name] = _cast(f, text)
+        # refinement works in the feature space; a file that set another
+        # space for it would otherwise change its masks without a word
+        diff_space = str(raw.get("diff_space", "")).strip()
+        feature_space = values.get("feature_space", cls.feature_space)
+        if diff_space not in ("", feature_space):
+            raise ConfigError(f"diff_space={diff_space} differs from "
+                              f"feature_space={feature_space}, the one "
+                              "working space")
         return cls(**values)
 
     def _settings(self, settings_cls):

@@ -1,9 +1,9 @@
 """Ride-level orchestration: synchronize, register, transfer, evaluate.
 
-Frame directories hold frame_%06d.ppm images and, for the reference
-ride, mask_%06d.pgm road annotations. Labels are 1-based; reference
-label x names the x-th reference frame in on-disk order, whatever its
-frame number.
+Frame directories hold frame_<n>.ppm images and, for the reference
+ride, mask_<n>.pgm road annotations of the same frame number n, padded
+or not. Labels are 1-based; reference label x names the x-th reference
+frame in on-disk order, whatever its frame number.
 """
 
 import logging
@@ -13,9 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .descriptor import DescriptorBank, compute_descriptor
+from .descriptor import DescriptorBank, DescriptorParams, compute_descriptor
 from .errors import AlignmentError, DataError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
@@ -31,12 +29,12 @@ logger = logging.getLogger(__name__)
 
 SYNC_HEADER = "observed_index,reference_label,score,omega_x,omega_y,omega_z,residual"
 
-_FRAME_RE = re.compile(r"frame_(\d+)\.ppm$")
-_MASK_RE = re.compile(r"mask_(\d+)\.pgm$")
+_FRAME_RE = re.compile(r"frame_(\d+)\.ppm")
+_MASK_RE = re.compile(r"mask_(\d+)\.pgm")
 
 
 def list_frames(directory):
-    """Sorted (index, path) pairs of frame files.
+    """Sorted (index, path) pairs of the files named frame_<index>.ppm.
 
     An empty directory, or two files with one frame number, is a DataError.
     """
@@ -47,16 +45,16 @@ def list_masks(directory):
     return _list_indexed(directory, _MASK_RE, "mask")
 
 
-def _list_indexed(directory, pattern, kind):
+def _list_indexed(directory, pattern, kind, required=True):
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"not a directory: {directory}")
     found = []
     for path in directory.iterdir():
-        m = pattern.search(path.name)
+        m = pattern.fullmatch(path.name)
         if m:
             found.append((int(m.group(1)), path))
-    if not found:
+    if required and not found:
         raise DataError(f"no {kind} files in {directory}")
     found.sort()
     for (i, a), (j, b) in zip(found, found[1:]):
@@ -66,10 +64,12 @@ def _list_indexed(directory, pattern, kind):
 
 
 def convert_frame(img, space, direction):
-    """Project a loaded frame into the requested working space."""
+    """Project a loaded frame into the requested working space.
+
+    The invariant space needs a color frame; `_check_frame` rejects a
+    gray one before any frame of a run is converted.
+    """
     if space == "invariant":
-        if img.ndim != 3:
-            raise DataError("invariant space requires color frames")
         return rgb_to_invariant(img, direction)
     return rgb_to_gray(img) if img.ndim == 3 else img
 
@@ -78,57 +78,58 @@ def _check_frame(path, frame_shape, shape, cfg):
     """DataError unless a frame of `frame_shape`, as loaded, suits the run.
 
     Its (rows, columns) must equal `shape` when one is given, and it
-    must be a color frame when either working space is invariant.
+    must be a color frame when the working space is invariant.
     """
     if shape is not None and frame_shape[:2] != shape:
         raise DataError(f"{path}: frame is {frame_shape[1]}x{frame_shape[0]}, "
                         f"reference frames are {shape[1]}x{shape[0]}")
-    if len(frame_shape) != 3 and "invariant" in (cfg.feature_space,
-                                                  cfg.diff_space):
+    if len(frame_shape) != 3 and cfg.feature_space == "invariant":
         raise DataError(f"{path}: invariant space requires color frames")
 
 
 def _load_frame(path, cfg, direction, shape=None):
-    """Load one frame as its (feature, diff) image pair.
+    """Load one frame into the working space.
 
-    The diff image is the feature image itself when both spaces agree.
     A frame that fails `_check_frame` is a DataError.
     """
     img = load_image(path)
     _check_frame(path, img.shape, shape, cfg)
-    feat = convert_frame(img, cfg.feature_space, direction)
-    if cfg.diff_space == cfg.feature_space:
-        return feat, feat
-    return feat, convert_frame(img, cfg.diff_space, direction)
+    return convert_frame(img, cfg.feature_space, direction)
 
 
 @dataclass
 class ReferenceRide:
-    feature: list   # per-frame image in the sync/registration space
-    diff: list      # per-frame image in the background-subtraction space
+    feature: list   # per-frame image in the working space
     masks: list
     bank: DescriptorBank
 
+    @property
+    def diff(self):
+        # read by the benchmark's tracer; refinement uses the feature images
+        return self.feature
+
 
 def load_reference(ref_dir, cfg):
-    """Load reference frames + masks and precompute their descriptors."""
+    """Load reference frames + masks and precompute their descriptors.
+
+    Each frame's mask is the mask file of its frame number.
+    """
     direction = InvariantDirection(cfg.theta)
     params = cfg.descriptor_params()
-    feature, diff, masks = [], [], []
+    mask_paths = dict(_list_indexed(ref_dir, _MASK_RE, "mask", required=False))
+    feature, masks = [], []
     for index, path in list_frames(ref_dir):
-        shape = feature[0].shape if feature else None
-        feat, diff_img = _load_frame(path, cfg, direction, shape)
-        feature.append(feat)
-        diff.append(diff_img)
-        mask_path = path.with_name(f"mask_{index:06d}.pgm")
-        if not mask_path.exists():
-            raise DataError(f"missing reference mask: {mask_path}")
-        mask = load_mask(mask_path)
-        if mask.shape != feat.shape:
+        image = _load_frame(path, cfg, direction,
+                            feature[0].shape if feature else None)
+        if index not in mask_paths:
+            raise DataError(f"missing reference mask for {path}")
+        mask = load_mask(mask_paths[index])
+        if mask.shape != image.shape:
             raise DataError(f"mask/frame shape mismatch at index {index}")
+        feature.append(image)
         masks.append(mask)
     bank = DescriptorBank([compute_descriptor(f, params) for f in feature])
-    return ReferenceRide(feature, diff, masks, bank)
+    return ReferenceRide(feature, masks, bank)
 
 
 @dataclass(frozen=True)
@@ -146,72 +147,79 @@ class AlignRow:
 
 
 @dataclass(frozen=True)
-class _Registration:
-    """A run's registration settings, worked out once from the frame size."""
+class _Run:
+    """What every frame of one run shares, worked out once at its start."""
 
+    ref: ReferenceRide
+    out: Path
+    direction: InvariantDirection
+    params: DescriptorParams
+    shape: tuple  # (rows, columns) of every frame
     intrinsics: CameraIntrinsics
     lk: LKSettings
     refine: RefineSettings | None  # None: the mask is warped, not refined
 
 
-def _registration(cfg, shape, refine):
-    """The settings of every registration in a run on frames of `shape`.
+def _open_run(ref_dir, obs_dir, out_dir, cfg, refine):
+    """The observed frames and the run's shared settings.
 
-    Frames of `shape` may allow fewer pyramid levels than configured;
-    `build_pyramid` then builds only those, and the run warns once here.
+    The observed frames are listed first, then the reference is loaded,
+    then every observed frame's header is checked (size against the
+    reference, color when the space is invariant). The output directory
+    is made only when all of that passed. Frames of the reference's
+    size may allow fewer pyramid levels than configured; `build_pyramid`
+    then builds only those, and the run warns once here.
     """
+    indexed = list_frames(obs_dir)
+    ref = load_reference(ref_dir, cfg)
+    shape = ref.feature[0].shape
+    for _, path in indexed:
+        _check_frame(path, read_image_shape(path), shape, cfg)
     levels = pyramid_depth(shape, cfg.pyramid_levels)
     if levels < cfg.pyramid_levels:
         logger.warning("pyramid clamped to %d of %d levels for %dx%d frames",
                        levels, cfg.pyramid_levels, shape[1], shape[0])
-    return _Registration(cfg.intrinsics(shape[1], shape[0]), cfg.lk_settings(),
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return indexed, _Run(ref, out, InvariantDirection(cfg.theta),
+                         cfg.descriptor_params(), shape,
+                         cfg.intrinsics(shape[1], shape[0]), cfg.lk_settings(),
                          cfg.refine_settings() if refine else None)
 
 
-def _register_and_transfer(ref, obs_feat, obs_diff, label, reg):
+def _register_and_transfer(run, image, label):
     """LK-align one matched pair and carry the road mask across.
 
-    The refinement reuses LK's final warp of the reference frame when
-    the diff image is that frame; after an identity fallback, or with a
-    diff space of its own, it warps the diff image itself.
+    The refinement reuses LK's final warp of the reference frame; after
+    an identity fallback it warps the reference frame itself.
     """
-    ref_feat, ref_diff = ref.feature[label - 1], ref.diff[label - 1]
+    ref_image, ref_mask = run.ref.feature[label - 1], run.ref.masks[label - 1]
     try:
-        omega, residual, warp = lk_align(ref_feat, obs_feat, reg.intrinsics,
-                                         reg.lk)
+        omega, residual, warp = lk_align(ref_image, image, run.intrinsics,
+                                         run.lk)
     except AlignmentError as exc:
         logger.warning("registration failed (%s); falling back to identity",
                        exc)
         omega, residual, warp = RotationParams(), math.nan, None
-    if reg.refine is None:
-        mask = warp_mask(ref.masks[label - 1], omega, reg.intrinsics)
+    if run.refine is None:
+        mask = warp_mask(ref_mask, omega, run.intrinsics)
     else:
-        mask = transfer_and_refine(ref.masks[label - 1], ref_diff, obs_diff,
-                                   omega, reg.intrinsics, reg.refine,
-                                   warp if ref_diff is ref_feat else None)
+        mask = transfer_and_refine(ref_mask, ref_image, image, omega,
+                                   run.intrinsics, run.refine, warp)
     return omega, residual, mask
+
+
+def _emit(run, index, image, label, score):
+    """Register observed frame `index` to reference `label`, write its
+    mask and return its sync.csv row."""
+    omega, residual, mask = _register_and_transfer(run, image, label)
+    save_mask(mask, run.out / f"mask_{index:06d}.pgm")
+    return AlignRow(index, label, score, omega, residual)
 
 
 def _write_sync_csv(out_dir, rows):
     lines = [SYNC_HEADER] + [r.csv_line() for r in rows]
     (Path(out_dir) / "sync.csv").write_text("\n".join(lines) + "\n")
-
-
-def _open_run(ref_dir, obs_dir, out_dir, cfg):
-    """The observed frames, the reference ride and the output directory.
-
-    The observed frames are listed first, then the reference is loaded,
-    then every observed frame's header is checked (size against the
-    reference, color when a space is invariant). The output directory is
-    made only when all of that passed.
-    """
-    indexed = list_frames(obs_dir)
-    ref = load_reference(ref_dir, cfg)
-    for _, path in indexed:
-        _check_frame(path, read_image_shape(path), ref.feature[0].shape, cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return indexed, ref, out
 
 
 def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
@@ -225,37 +233,29 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     identity rotation and the row's residual is nan.
     The observed frames are listed before the reference is loaded, and
     every one's header is checked (size against the reference, color
-    when a space is invariant) before out_dir is made, so bad input
+    when the space is invariant) before out_dir is made, so bad input
     writes no output.
     `on_emit(index, emission)` runs as each label is emitted, with the
     on-disk index of the frame just pushed; `emission.observed_index`
     counts pushed frames from 0.
     """
-    indexed, ref, out = _open_run(ref_dir, obs_dir, out_dir, cfg)
-    direction = InvariantDirection(cfg.theta)
-    params = cfg.descriptor_params()
-    shape = ref.feature[0].shape
-    reg = _registration(cfg, shape, refine)
-    sync = OnlineSynchronizer(ref.bank, cfg.sync_config(), params)
+    indexed, run = _open_run(ref_dir, obs_dir, out_dir, cfg, refine)
+    sync = OnlineSynchronizer(run.ref.bank, cfg.sync_config(), run.params)
 
     rows = []
-    # (on-disk index, feature, diff image) of the last lag + 1 pushes; an
-    # emission names the oldest
+    # (on-disk index, image) of the last lag + 1 pushes; an emission
+    # names the oldest
     pending = deque(maxlen=cfg.lag + 1)
     for t, path in indexed:
-        feat, obs_diff = _load_frame(path, cfg, direction, shape)
-        pending.append((t, feat, obs_diff))
-        emission = sync.push(compute_descriptor(feat, params))
+        image = _load_frame(path, cfg, run.direction, run.shape)
+        pending.append((t, image))
+        emission = sync.push(compute_descriptor(image, run.params))
         if emission is not None:
             if on_emit is not None:
                 on_emit(t, emission)
-            index, obs_feat, diff_img = pending[0]
-            omega, residual, mask = _register_and_transfer(
-                ref, obs_feat, diff_img, emission.label, reg)
-            save_mask(mask, out / f"mask_{index:06d}.pgm")
-            rows.append(AlignRow(index, emission.label, emission.score, omega,
-                                 residual))
-    _write_sync_csv(out, rows)
+            rows.append(_emit(run, *pending[0], emission.label,
+                              emission.score))
+    _write_sync_csv(run.out, rows)
     return rows
 
 
@@ -266,30 +266,23 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     and no candidate band; `cfg.band` applies to `run_align` only.
     Inputs are checked as in `run_align` before out_dir is made.
     """
-    indexed, ref, out = _open_run(ref_dir, obs_dir, out_dir, cfg)
-    direction = InvariantDirection(cfg.theta)
-    params = cfg.descriptor_params()
-    shape = ref.feature[0].shape
-    reg = _registration(cfg, shape, refine)
+    indexed, run = _open_run(ref_dir, obs_dir, out_dir, cfg, refine)
 
     # every frame is loaded before any is described or registered
-    feats, diffs = zip(*(_load_frame(path, cfg, direction, shape)
-                         for _, path in indexed))
+    images = [_load_frame(path, cfg, run.direction, run.shape)
+              for _, path in indexed]
 
-    descs = [compute_descriptor(f, params) for f in feats]
+    descs = [compute_descriptor(image, run.params) for image in images]
     # no center: the whole row is scored, whatever the band
-    table = build_likelihood_table(descs, ref.bank, cfg.sync_config(), params)
+    table = build_likelihood_table(descs, run.ref.bank, cfg.sync_config(),
+                                   run.params)
     labels = map_sequence(table)
 
     rows = []
-    for (t, _), feat, diff_img, label in zip(indexed, feats, diffs, labels):
+    for k, ((t, _), image, label) in enumerate(zip(indexed, images, labels)):
         label = int(label)
-        omega, residual, mask = _register_and_transfer(
-            ref, feat, diff_img, label, reg)
-        save_mask(mask, out / f"mask_{t:06d}.pgm")
-        rows.append(AlignRow(t, label, float(table[len(rows), label - 1]),
-                             omega, residual))
-    _write_sync_csv(out, rows)
+        rows.append(_emit(run, t, image, label, float(table[k, label - 1])))
+    _write_sync_csv(run.out, rows)
     return rows
 
 

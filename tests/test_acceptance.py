@@ -51,7 +51,7 @@ def street_runs(street_pair, street_cfg, tmp_path_factory):
                                out / "unrefined", street_cfg, refine=False)
     runs.dirs["unrefined"] = out / "unrefined"
 
-    gray_cfg = replace(street_cfg, feature_space="gray", diff_space="gray")
+    gray_cfg = replace(street_cfg, feature_space="gray")
     runs.gray = run_align(street_pair.ref, street_pair.obs, out / "gray",
                           gray_cfg, refine=False)
 

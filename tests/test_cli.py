@@ -115,8 +115,9 @@ def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
 
 
 @pytest.mark.parametrize("side,extra,twin", [
-    ("obs", "old_frame_000003.ppm", "frame_000003.ppm"),
+    ("obs", "frame_3.ppm", "frame_000003.ppm"),
     ("ref", "frame_4.ppm", "frame_000004.ppm"),
+    ("ref", "mask_4.pgm", "mask_000004.pgm"),
 ])
 def test_repeated_frame_number_is_a_data_error(mini_pair, tmp_path, capsys,
                                                side, extra, twin):
@@ -136,6 +137,23 @@ def test_repeated_frame_number_is_a_data_error(mini_pair, tmp_path, capsys,
     err = capsys.readouterr().err
     assert extra in err and twin in err
     assert not out.exists()
+
+
+def test_stray_frame_name_is_left_out(mini_pair, tmp_path, capsys):
+    # only a whole frame_<n>.ppm name is a frame; the 13 frames left make
+    # 8 masks at lag 5
+    obs = tmp_path / "obs"
+    obs.mkdir()
+    for path in mini_pair.obs.iterdir():
+        (obs / path.name).write_bytes(path.read_bytes())
+    (obs / "frame_000013.ppm").rename(obs / "backup_frame_000013.ppm")
+    out = tmp_path / "out"
+    assert main(["align", str(mini_pair.ref), str(obs), str(out),
+                 "--config", str(mini_pair.root / "scene.cfg")]) == 0
+    assert "emitted 8 mask(s)" in capsys.readouterr().out
+    assert len(list(out.glob("mask_*.pgm"))) == 8
+    rows = (out / "sync.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(8))
 
 
 def _write_gray(img, path):
@@ -183,6 +201,7 @@ def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
     ([], "smooth_sigma=inf\n"),
     ([], "mu_y=inf\n"),
     ([], "cx=inf\n"),
+    ([], "diff_space=gray\n"),
 ])
 def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
                                                    extra, config_line):
@@ -199,10 +218,11 @@ def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
 def test_align_ignores_the_removed_sync_keys(mini_pair, tmp_path):
     # the sync model has no beta or sigma_y; a config that sets them,
     # even to values once rejected, still loads and aligns exactly as
-    # one without them
+    # one without them, as does one whose diff_space is the feature space
     scene = (mini_pair.root / "scene.cfg").read_text()
     outs = []
-    for name, extra in [("plain", ""), ("old", "beta=0\nsigma_y=0\n")]:
+    for name, extra in [("plain", ""), ("old", "beta=0\nsigma_y=0\n"),
+                        ("same", "diff_space=invariant\n")]:
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(scene + "\n" + extra)
         outs.append(tmp_path / name)
@@ -247,9 +267,9 @@ def test_eval_detects_total_disagreement(mini_pair, tmp_path, capsys):
 
 def test_groundtruth_swap_smoke(mini_pair, tmp_path, capsys):
     out = tmp_path / "gt"
-    code = main(["groundtruth", str(mini_pair.ref), str(mini_pair.obs),
+    code = main(["groundtruth", str(mini_pair.obs), str(mini_pair.ref),
                  str(out), "--config", str(mini_pair.root / "scene.cfg"),
-                 "--swap", "--band", "none"])
+                 "--band", "none"])
     assert code == 0
     # swapped roles: the 18 reference frames are the ones being masked
     assert "transferred 18 mask(s)" in capsys.readouterr().out

@@ -41,7 +41,6 @@ def test_load_defaults(tmp_path):
     assert cfg.window == 10
     assert cfg.band == 30
     assert cfg.feature_space == "invariant"
-    assert cfg.diff_space == "invariant"
     assert cfg.cx is None and cfg.cy is None
 
 
@@ -103,11 +102,26 @@ def test_bad_values_raise_config_error(tmp_path):
     ("focal_px=inf", "focal_px"),
     ("cx=nan", "cx"),
     ("cy=-inf", "cy"),
+    # refinement works in the feature space; a file that set another
+    # space for it is rejected, not silently read another way
+    ("diff_space=gray", "diff_space"),
+    ("feature_space=gray\ndiff_space=invariant", "diff_space"),
 ])
 def test_bad_value_fails_at_load(tmp_path, line, key):
     p = _write(tmp_path, f"theta=0.7\nfocal_px=150\n{line}\n")
     with pytest.raises(ConfigError, match=key):
         PipelineConfig.load(p)
+
+
+@pytest.mark.parametrize("lines,space", [
+    ("", "invariant"),
+    ("diff_space=invariant\n", "invariant"),
+    ("feature_space=gray\ndiff_space=gray\n", "gray"),
+])
+def test_diff_space_equal_to_the_feature_space_loads(tmp_path, lines, space):
+    cfg = PipelineConfig.load(
+        _write(tmp_path, f"theta=0.7\nfocal_px=150\n{lines}"))
+    assert cfg == PipelineConfig(theta=0.7, focal_px=150.0, feature_space=space)
 
 
 def test_validation_errors():
@@ -121,8 +135,6 @@ def test_validation_errors():
         PipelineConfig(theta=0.7, focal_px=100.0, band=0)
     with pytest.raises(ConfigError, match="feature_space"):
         PipelineConfig(theta=0.7, focal_px=100.0, feature_space="rgb")
-    with pytest.raises(ConfigError, match="diff_space"):
-        PipelineConfig(theta=0.7, focal_px=100.0, diff_space="rgb")
 
 
 def test_factories_propagate_values():

@@ -47,7 +47,8 @@ def test_convert_frame_spaces():
     assert not np.allclose(inv, gray)
     already = convert_frame(gray, "gray", direction)
     assert np.array_equal(already, gray)
-    with pytest.raises(DataError, match="color"):
+    # runs reject gray frames in the invariant space before converting
+    with pytest.raises(ValueError):
         convert_frame(gray, "invariant", direction)
 
 
@@ -55,8 +56,6 @@ def test_load_reference_builds_bank(mini_pair, mini_cfg):
     ref = load_reference(mini_pair.ref, mini_cfg)
     assert len(ref.feature) == len(ref.masks) == len(ref.bank) == 18
     assert ref.feature[0].shape == (60, 80)
-    # invariant diff space is shared with the feature space by default
-    assert ref.diff[0] is ref.feature[0]
 
 
 def test_load_reference_requires_masks(tmp_path, mini_cfg):
@@ -187,6 +186,23 @@ def test_run_align_reference_numbered_from_100_with_a_gap(mini_pair, mini_cfg,
                 == (tmp_path / "base" / name).read_bytes())
 
 
+def test_run_align_unpadded_reference_names(mini_pair, mini_cfg, tmp_path):
+    # reference frame k is frame_<k>.ppm and its mask mask_<k>.pgm; a mask
+    # belongs to the frame of its number, padded or not
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for k in range(18):
+        for kind, ext in (("frame", "ppm"), ("mask", "pgm")):
+            shutil.copy(mini_pair.ref / f"{kind}_{k:06d}.{ext}",
+                        ref / f"{kind}_{k}.{ext}")
+    run_align(mini_pair.ref, mini_pair.obs, tmp_path / "base", mini_cfg)
+    rows = run_align(ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert len(rows) == 14 - mini_cfg.lag
+    for name in ["sync.csv"] + [f"mask_{r.observed_index:06d}.pgm"
+                                for r in rows]:
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "base" / name).read_bytes())
+
 
 def test_clamped_pyramid_warns_once_per_run(mini_pair, mini_cfg, tmp_path,
                                             caplog):
@@ -205,12 +221,12 @@ def test_clamped_pyramid_warns_once_per_run(mini_pair, mini_cfg, tmp_path,
                 == (tmp_path / "two" / name).read_bytes())
 
 
-@pytest.mark.parametrize("diff_space", ["invariant", "gray"])
+@pytest.mark.parametrize("feature_space", ["invariant", "gray"])
 def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
-                                            diff_space):
+                                            feature_space):
     # each mask is the transfer recomputed from the row's rotation with a
-    # warp of its own, whether or not LK's warp could be reused
-    cfg = dataclasses.replace(mini_cfg, diff_space=diff_space)
+    # warp of its own, in place of the LK warp the run reuses
+    cfg = dataclasses.replace(mini_cfg, feature_space=feature_space)
     rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", cfg)
     assert len(rows) == 14 - cfg.lag
     ref = load_reference(mini_pair.ref, cfg)
@@ -220,9 +236,9 @@ def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
     for r in rows:
         obs = convert_frame(
             load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
-            diff_space, direction)
+            feature_space, direction)
         expected = transfer_and_refine(
-            ref.masks[r.label - 1], ref.diff[r.label - 1], obs, r.omega,
+            ref.masks[r.label - 1], ref.feature[r.label - 1], obs, r.omega,
             intrinsics, cfg.refine_settings())
         mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
         assert np.array_equal(mask, expected)
