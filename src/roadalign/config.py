@@ -5,14 +5,28 @@ import types
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .descriptor import DescriptorParams
+from .descriptor import GRADIENT_FLOOR_RATIO, MAX_SHIFT, DescriptorParams
 from .errors import ConfigError
 from .invariant import InvariantDirection
-from .spatial import CameraIntrinsics, LKSettings
-from .temporal import SyncConfig
-from .transfer import RefineSettings
+from .spatial import MAX_ITERATIONS, ROBUST_SKIP, CameraIntrinsics
+from .temporal import MU_Y, SyncConfig
+from .transfer import HISTOGRAM_BINS, MIN_BLOB_PX
 
 _FEATURE_SPACES = ("invariant", "gray")
+
+# keys that no longer set anything, each with its parser and the one
+# value it may still take (None: the run's feature_space). A config
+# that gave one another value would change its masks without a word.
+_FORMER_KEYS = {
+    "diff_space": (str, None),
+    "gradient_floor_ratio": (float, GRADIENT_FLOOR_RATIO),
+    "max_shift": (int, MAX_SHIFT),
+    "mu_y": (float, MU_Y),
+    "max_iterations": (int, MAX_ITERATIONS),
+    "robust_skip": (int, ROBUST_SKIP),
+    "min_blob_px": (int, MIN_BLOB_PX),
+    "histogram_bins": (int, HISTOGRAM_BINS),
+}
 
 
 def read_key_values(path):
@@ -22,7 +36,11 @@ def read_key_values(path):
     alignment config.
     """
     out = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") \
+            from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,14 +81,7 @@ class PipelineConfig:
     band: int | None = 30
     smooth_sigma: float = 2.0
     downsample_factor: int = 16
-    gradient_floor_ratio: float = 0.05
-    max_shift: int = 2
-    mu_y: float = 1.0
     pyramid_levels: int = 3
-    max_iterations: int = 50
-    robust_skip: int = 2
-    min_blob_px: int = 25
-    histogram_bins: int = 256
     feature_space: str = "invariant"
 
     def __post_init__(self):
@@ -88,13 +99,13 @@ class PipelineConfig:
             raise ConfigError("window must be at least max(lag, 1)")
         if self.band is not None and self.band < 1:
             raise ConfigError("band must be at least 1 frame")
+        if self.pyramid_levels < 1:
+            raise ConfigError("pyramid_levels must be at least 1")
         # the stage settings check their own values; build them once here
         # so that a bad value fails before any frame is read
         try:
             InvariantDirection(self.theta)
             self.descriptor_params()
-            self.lk_settings()
-            self.refine_settings()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -106,7 +117,8 @@ class PipelineConfig:
         are the field names; an empty value means the field's default,
         and fields without a default (theta, focal_px) must come from
         one of the two sources. Fields that may be None also accept
-        `none` or `off`.
+        `none` or `off`. A former key (see _FORMER_KEYS) may be empty or
+        give its fixed value; any other value is a ConfigError.
         """
         raw = read_key_values(config_path) if config_path else {}
         if overrides:
@@ -119,24 +131,21 @@ class PipelineConfig:
                     raise ConfigError(f"missing required key: {f.name}")
                 continue
             values[f.name] = _cast(f, text)
-        # refinement works in the feature space; a file that set another
-        # space for it would otherwise change its masks without a word
-        diff_space = str(raw.get("diff_space", "")).strip()
-        feature_space = values.get("feature_space", cls.feature_space)
-        if diff_space not in ("", feature_space):
-            raise ConfigError(f"diff_space={diff_space} differs from "
-                              f"feature_space={feature_space}, the one "
-                              "working space")
-        return cls(**values)
-
-    def _settings(self, settings_cls):
-        """Build settings_cls from the fields it shares with this config."""
-        return settings_cls(**{f.name: getattr(self, f.name)
-                               for f in fields(settings_cls)
-                               if f.name in self.__dataclass_fields__})
+        cfg = cls(**values)
+        for key, (parse, fixed) in _FORMER_KEYS.items():
+            text = str(raw.get(key, "")).strip()
+            fixed = cfg.feature_space if fixed is None else fixed
+            try:
+                ok = text == "" or parse(text) == fixed
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"config key {key!r} is no longer settable: "
+                                  f"it may only be {fixed}, got {text}")
+        return cfg
 
     def descriptor_params(self):
-        return self._settings(DescriptorParams)
+        return DescriptorParams(self.smooth_sigma, self.downsample_factor)
 
     def sync_config(self):
         return SyncConfig(
@@ -144,12 +153,6 @@ class PipelineConfig:
             window_L=self.window,
             candidate_band=self.band,
         )
-
-    def lk_settings(self):
-        return self._settings(LKSettings)
-
-    def refine_settings(self):
-        return self._settings(RefineSettings)
 
     def intrinsics(self, width, height):
         cx = self.cx if self.cx is not None else (width - 1) / 2.0

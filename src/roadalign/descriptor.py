@@ -16,24 +16,23 @@ import numpy as np
 
 from .imagecore import downsample, gaussian_smooth, gradient
 
+# cells whose gradient magnitude is below this share of the frame's
+# largest are zeroed
+GRADIENT_FLOOR_RATIO = 0.05
+# grid shifts, in cells, over which two descriptors are compared
+MAX_SHIFT = 2
+
 
 @dataclass(frozen=True)
 class DescriptorParams:
     smooth_sigma: float = 2.0
     downsample_factor: int = 16
-    gradient_floor_ratio: float = 0.05
-    max_shift: int = 2
-    mu_y: float = 1.0
 
     def __post_init__(self):
         if not self.smooth_sigma > 0:
             raise ValueError("smooth_sigma must be positive")
         if self.downsample_factor < 1:
             raise ValueError("downsample_factor must be at least 1")
-        if not 0.0 <= self.gradient_floor_ratio < 1.0:
-            raise ValueError("gradient_floor_ratio must be in [0, 1)")
-        if self.max_shift < 0:
-            raise ValueError("max_shift must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def compute_descriptor(img, params=DescriptorParams()):
     """Descriptor of a grayscale frame.
 
     Smooth, block-mean downsample, take gradients, zero every cell whose
-    magnitude falls below `gradient_floor_ratio` of the maximum, then
+    magnitude falls below GRADIENT_FLOOR_RATIO of the maximum, then
     normalize. The downsampled frame must be at least 2x2.
     """
     small = downsample(gaussian_smooth(img, params.smooth_sigma),
@@ -82,7 +81,7 @@ def compute_descriptor(img, params=DescriptorParams()):
         )
     dx, dy = gradient(small)
     mag = np.hypot(dx, dy)
-    floor = params.gradient_floor_ratio * mag.max()
+    floor = GRADIENT_FLOOR_RATIO * mag.max()
     weak = mag < floor
     dx[weak] = 0.0
     dy[weak] = 0.0
@@ -160,7 +159,7 @@ class DescriptorBank:
         return plan
 
 
-def similarity_to_bank(d, bank, max_shift=2, start=0, stop=None):
+def similarity_to_bank(d, bank, max_shift=MAX_SHIFT, start=0, stop=None):
     """Vector of the similarity of d to bank[i] for i in range(start, stop).
 
     Scores one observed frame against a contiguous stretch of the

@@ -20,10 +20,9 @@ from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
 from .imagecore import (load_image, load_mask, pyramid_depth,
                         read_image_shape, rgb_to_gray, save_mask)
 from .invariant import InvariantDirection, rgb_to_invariant
-from .spatial import (CameraIntrinsics, LKSettings, RotationParams, lk_align,
-                      warp_mask)
+from .spatial import CameraIntrinsics, RotationParams, lk_align, warp_mask
 from .temporal import OnlineSynchronizer, build_likelihood_table, map_sequence
-from .transfer import RefineSettings, transfer_and_refine
+from .transfer import transfer_and_refine
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +76,19 @@ def convert_frame(img, space, direction):
 def _check_frame(path, frame_shape, shape, cfg):
     """DataError unless a frame of `frame_shape`, as loaded, suits the run.
 
-    Its (rows, columns) must equal `shape` when one is given, and it
-    must be a color frame when the working space is invariant.
+    Its (rows, columns) must equal `shape` when one is given; without
+    one (the first reference frame), they must give a descriptor grid
+    of at least 2x2 cells. It must be a color frame when the working
+    space is invariant.
     """
-    if shape is not None and frame_shape[:2] != shape:
-        raise DataError(f"{path}: frame is {frame_shape[1]}x{frame_shape[0]}, "
+    h, w = frame_shape[:2]
+    if shape is None:
+        factor = cfg.downsample_factor
+        if math.ceil(h / factor) < 2 or math.ceil(w / factor) < 2:
+            raise DataError(f"{path}: frame is {w}x{h}, under 2x2 descriptor "
+                            f"cells at downsample_factor={factor}")
+    elif (h, w) != shape:
+        raise DataError(f"{path}: frame is {w}x{h}, "
                         f"reference frames are {shape[1]}x{shape[0]}")
     if len(frame_shape) != 3 and cfg.feature_space == "invariant":
         raise DataError(f"{path}: invariant space requires color frames")
@@ -125,7 +132,9 @@ def load_reference(ref_dir, cfg):
             raise DataError(f"missing reference mask for {path}")
         mask = load_mask(mask_paths[index])
         if mask.shape != image.shape:
-            raise DataError(f"mask/frame shape mismatch at index {index}")
+            raise DataError(f"{mask_paths[index]}: mask is {mask.shape[1]}x"
+                            f"{mask.shape[0]}, its frame {path} is "
+                            f"{image.shape[1]}x{image.shape[0]}")
         feature.append(image)
         masks.append(mask)
     bank = DescriptorBank([compute_descriptor(f, params) for f in feature])
@@ -156,8 +165,8 @@ class _Run:
     params: DescriptorParams
     shape: tuple  # (rows, columns) of every frame
     intrinsics: CameraIntrinsics
-    lk: LKSettings
-    refine: RefineSettings | None  # None: the mask is warped, not refined
+    levels: int  # pyramid levels lk_align may build, at most
+    refine: bool  # False: the mask is warped, not refined
 
 
 def _open_run(ref_dir, obs_dir, out_dir, cfg, refine):
@@ -183,8 +192,8 @@ def _open_run(ref_dir, obs_dir, out_dir, cfg, refine):
     out.mkdir(parents=True, exist_ok=True)
     return indexed, _Run(ref, out, InvariantDirection(cfg.theta),
                          cfg.descriptor_params(), shape,
-                         cfg.intrinsics(shape[1], shape[0]), cfg.lk_settings(),
-                         cfg.refine_settings() if refine else None)
+                         cfg.intrinsics(shape[1], shape[0]),
+                         cfg.pyramid_levels, refine)
 
 
 def _register_and_transfer(run, image, label):
@@ -196,16 +205,16 @@ def _register_and_transfer(run, image, label):
     ref_image, ref_mask = run.ref.feature[label - 1], run.ref.masks[label - 1]
     try:
         omega, residual, warp = lk_align(ref_image, image, run.intrinsics,
-                                         run.lk)
+                                         run.levels)
     except AlignmentError as exc:
         logger.warning("registration failed (%s); falling back to identity",
                        exc)
         omega, residual, warp = RotationParams(), math.nan, None
-    if run.refine is None:
-        mask = warp_mask(ref_mask, omega, run.intrinsics)
-    else:
+    if run.refine:
         mask = transfer_and_refine(ref_mask, ref_image, image, omega,
-                                   run.intrinsics, run.refine, warp)
+                                   run.intrinsics, warp)
+    else:
+        mask = warp_mask(ref_mask, omega, run.intrinsics)
     return omega, residual, mask
 
 
@@ -240,7 +249,7 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     counts pushed frames from 0.
     """
     indexed, run = _open_run(ref_dir, obs_dir, out_dir, cfg, refine)
-    sync = OnlineSynchronizer(run.ref.bank, cfg.sync_config(), run.params)
+    sync = OnlineSynchronizer(run.ref.bank, cfg.sync_config())
 
     rows = []
     # (on-disk index, image) of the last lag + 1 pushes; an emission
@@ -274,8 +283,7 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
 
     descs = [compute_descriptor(image, run.params) for image in images]
     # no center: the whole row is scored, whatever the band
-    table = build_likelihood_table(descs, run.ref.bank, cfg.sync_config(),
-                                   run.params)
+    table = build_likelihood_table(descs, run.ref.bank, cfg.sync_config())
     labels = map_sequence(table)
 
     rows = []

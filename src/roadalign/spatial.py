@@ -19,6 +19,8 @@ from .imagecore import build_pyramid
 MAX_ROTATION = 0.35  # radians; beyond this the small-angle model is meaningless
 MIN_PIXELS = 16
 MAX_STEP_HALVINGS = 8
+MAX_ITERATIONS = 50  # Gauss-Newton steps per pyramid level
+ROBUST_SKIP = 2  # border pixels left out of every residual and LK sum
 # pixels; a level ends once a rotation step moves no pixel this far.
 # Registration against the true rotation is off by ~0.7 px on the street
 # scenes, so steps below 0.03 px refine nothing the masks can show: from
@@ -44,12 +46,6 @@ class RotationParams:
                     f"|angle| must stay below {MAX_ROTATION} rad, got {v}"
                 )
 
-    def as_array(self):
-        return np.array([self.omega_x, self.omega_y, self.omega_z])
-
-    def __neg__(self):
-        return RotationParams(-self.omega_x, -self.omega_y, -self.omega_z)
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -70,33 +66,6 @@ class CameraIntrinsics:
         """Intrinsics of a pyramid level downscaled by `factor`."""
         return CameraIntrinsics(self.focal_px / factor, self.cx / factor,
                                 self.cy / factor)
-
-
-@dataclass(frozen=True)
-class LKSettings:
-    pyramid_levels: int = 3
-    max_iterations: int = 50
-    robust_skip: int = 2
-
-    def __post_init__(self):
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.robust_skip < 0:
-            raise ValueError("robust_skip must be non-negative")
-
-
-def motion_field(x, y, omega, intrinsics):
-    """Displacement (u, v) of the rotation flow at pixel positions (x, y).
-
-    Linear in the angles; quadratic in the re-centered coordinates.
-    Accepts scalars or arrays.
-    """
-    xb = np.asarray(x, dtype=np.float64) - intrinsics.cx
-    yb = np.asarray(y, dtype=np.float64) - intrinsics.cy
-    return _kernels.FlowBasis(xb, yb, intrinsics.focal_px).flow(
-        omega.omega_x, omega.omega_y, omega.omega_z)
 
 
 def warp_image(src, omega, intrinsics):
@@ -121,38 +90,11 @@ def warp_mask(mask, omega, intrinsics):
     )
 
 
-def ssd_objective(reference_frame, observed_frame, omega, intrinsics, border_skip=2):
-    """Sum of squared residuals of warp(reference) against observed.
-
-    Returns (sse, pixel count) over valid pixels inside the border skip.
-    """
-    sse, n, _, _ = _kernels.warp_sse(
-        reference_frame, observed_frame,
-        omega.omega_x, omega.omega_y, omega.omega_z,
-        intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
-    )
-    return sse, n
-
-
-def ssd_gradient(reference_frame, observed_frame, omega, intrinsics, border_skip=2):
-    """Analytic gradient of the SSD objective with respect to the angles.
-
-    Uses the warped-image gradients, so it equals the true derivative at
-    omega = 0 and degrades gracefully nearby. The pixel set matches
-    `ssd_objective` whenever the whole skip region warps validly.
-    """
-    warped, valid = warp_image(reference_frame, omega, intrinsics)
-    _, grad, _, _ = _kernels.lk_accumulate(
-        warped, valid, observed_frame,
-        intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
-    )
-    return 2.0 * grad
-
-
-def _mse(ref, obs, omega_arr, f, cx, cy, skip):
+def _mse(ref, obs, omega_arr, f, cx, cy):
     """(mean squared residual, count, warped, valid) of ref warped by omega."""
     sse, n, warped, valid = _kernels.warp_sse(
-        ref, obs, omega_arr[0], omega_arr[1], omega_arr[2], f, cx, cy, skip)
+        ref, obs, omega_arr[0], omega_arr[1], omega_arr[2], f, cx, cy,
+        ROBUST_SKIP)
     return (sse / n if n else math.inf), n, warped, valid
 
 
@@ -172,11 +114,12 @@ def _step_bound(intrinsics, shape):
                      [-corner.fy, corner.xy, corner.x]])
 
 
-def lk_align(reference_frame, observed_frame, intrinsics, settings=None):
+def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
     """Estimate the rotation aligning reference onto observed.
 
     Coarse-to-fine Gauss-Newton over the three angles, from zero, over
-    the levels that `build_pyramid` builds for the frame size. Each
+    the levels, at most `levels`, that `build_pyramid` builds for the
+    frame size, with at most MAX_ITERATIONS steps per level. Each
     candidate step must not increase the mean squared residual; on
     increase the step is halved up to 8 times, after which the level
     ends. A level also ends after an accepted step, or at a halved step,
@@ -194,18 +137,14 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None):
     Raises AlignmentError on singular normal equations, non-finite
     values, or estimates leaving the small-rotation range.
     """
-    settings = settings or LKSettings()
     ref = np.asarray(reference_frame, dtype=np.float64)
     obs = np.asarray(observed_frame, dtype=np.float64)
     if ref.shape != obs.shape:
         raise ValueError("frame shapes differ")
     omega = np.zeros(3)
-    skip = settings.robust_skip
 
-    pyr_ref = [a.astype(np.float32)
-               for a in build_pyramid(ref, settings.pyramid_levels)]
-    pyr_obs = [a.astype(np.float32)
-               for a in build_pyramid(obs, settings.pyramid_levels)]
+    pyr_ref = [a.astype(np.float32) for a in build_pyramid(ref, levels)]
+    pyr_obs = [a.astype(np.float32) for a in build_pyramid(obs, levels)]
 
     mse = math.inf
     for level in range(len(pyr_ref) - 1, -1, -1):
@@ -214,13 +153,13 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None):
         o_img = pyr_obs[level]
         f, cx, cy = k.focal_px, k.cx, k.cy
         bound = _step_bound(k, r_img.shape)
-        mse, n, warped, valid = _mse(r_img, o_img, omega, f, cx, cy, skip)
+        mse, n, warped, valid = _mse(r_img, o_img, omega, f, cx, cy)
         if n < MIN_PIXELS:
             raise AlignmentError("too few valid pixels for alignment")
-        for _ in range(settings.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             # the warp at omega is the one that accepted omega
             hess, grad, _, n_acc = _kernels.lk_accumulate(
-                warped, valid, o_img, f, cx, cy, skip)
+                warped, valid, o_img, f, cx, cy, ROBUST_SKIP)
             if n_acc < MIN_PIXELS:
                 raise AlignmentError("too few valid pixels for alignment")
             try:
@@ -238,7 +177,7 @@ def lk_align(reference_frame, observed_frame, intrinsics, settings=None):
                     break
                 candidate = omega + delta
                 cand_mse, cand_n, cand_warped, cand_valid = _mse(
-                    r_img, o_img, candidate, f, cx, cy, skip)
+                    r_img, o_img, candidate, f, cx, cy)
                 if cand_n >= MIN_PIXELS and cand_mse <= mse:
                     omega, mse = candidate, cand_mse
                     warped, valid = cand_warped, cand_valid

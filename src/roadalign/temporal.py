@@ -3,7 +3,7 @@
 Observed frames are matched to reference frame labels with a hidden
 chain model: the label of frame k+1 is never smaller than the label of
 frame k (the vehicle does not drive backward), and each frame scores
-its label with the observation term -(s - mu_y)**2, s being its
+its label with the observation term -(1 - s)**2, s being its
 descriptor similarity to the labeled reference frame. Inference is
 max-sum over these terms: a density's normalisation and width, a
 uniform prior and a per-step transition weight would shift or scale
@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import DescriptorParams, similarity_to_bank
+from .descriptor import MAX_SHIFT, similarity_to_bank
 from .errors import SyncLossError
+
+# the similarity the observation term is centred on: a perfect match
+MU_Y = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class _WindowFrame:
         self.row = None
         self.hi = 0
 
-    def score(self, bank, params, lo, hi, ahead):
+    def score(self, bank, lo, hi, ahead):
         """Make the cached row cover [lo, hi), scoring only what it lacks.
 
         A row short on the right is extended up to `ahead`, so that a
@@ -63,17 +66,17 @@ class _WindowFrame:
             self.row = np.full(len(bank), -np.inf)
             self.hi = lo
         if hi > self.hi:
-            sim = similarity_to_bank(self.descriptor, bank, params.max_shift,
+            sim = similarity_to_bank(self.descriptor, bank, MAX_SHIFT,
                                      self.hi, ahead)
-            self.row[self.hi:ahead] = -(sim - params.mu_y) ** 2
+            self.row[self.hi:ahead] = -(sim - MU_Y) ** 2
             self.hi = ahead
 
 
-def build_likelihood_table(window, bank, cfg, params, center=None):
+def build_likelihood_table(window, bank, cfg, center=None):
     """Observation term of every window frame against every label.
 
     Row k scores window frame k, column j scores reference label j+1 of
-    the DescriptorBank `bank`: -(s - mu_y)**2 for the similarity s of
+    the DescriptorBank `bank`: -(1 - s)**2 for the similarity s of
     the two, 0 at a perfect match. When `cfg.candidate_band` is set and
     a band center label is given, entries outside
     [center - band, center + band] are -inf, and only the columns inside
@@ -95,7 +98,7 @@ def build_likelihood_table(window, bank, cfg, params, center=None):
     for k, frame in enumerate(window):
         if not isinstance(frame, _WindowFrame):
             frame = _WindowFrame(frame)
-        frame.score(bank, params, lo, hi, ahead)
+        frame.score(bank, lo, hi, ahead)
         table[k, lo:hi] = frame.row[lo:hi]
     return table
 
@@ -200,10 +203,9 @@ class OnlineSynchronizer:
     centers it.
     """
 
-    def __init__(self, bank, cfg, params=DescriptorParams()):
+    def __init__(self, bank, cfg):
         self._bank = bank
         self._cfg = cfg
-        self._params = params
         self._window = deque(maxlen=cfg.window_L + 1)
         self._next_index = 0
         self._last_label = None
@@ -214,10 +216,8 @@ class OnlineSynchronizer:
         self._window.append(_WindowFrame(descriptor))
         if index < self._cfg.lag_l:
             return None
-        table = build_likelihood_table(
-            self._window, self._bank, self._cfg, self._params,
-            center=self._last_label,
-        )
+        table = build_likelihood_table(self._window, self._bank, self._cfg,
+                                       center=self._last_label)
         label, score = fixed_lag_infer(
             table, self._cfg, min_label=self._last_label or 1
         )

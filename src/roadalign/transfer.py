@@ -14,26 +14,15 @@ onto the smaller of the two roots, with pointer jumping, until every
 pair shares a root.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spatial import warp_image, warp_mask
 
-
-@dataclass(frozen=True)
-class RefineSettings:
-    min_blob_px: int = 25
-    histogram_bins: int = 256
-
-    def __post_init__(self):
-        if self.min_blob_px < 0:
-            raise ValueError("min_blob_px must be non-negative")
-        if self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be at least 2")
+MIN_BLOB_PX = 25  # foreground blobs smaller than this are noise, not objects
+HISTOGRAM_BINS = 256  # Otsu histogram cells over the difference range [0, 1]
 
 
-def otsu_threshold(img, bins=256):
+def otsu_threshold(img, bins=HISTOGRAM_BINS):
     """Bin-edge threshold maximizing between-class variance.
 
     The histogram uses `bins` equal-width cells over [0, 1]; candidate
@@ -129,11 +118,11 @@ def remove_small_components(mask, min_px):
     return _paint(mask.shape, rows[keep], starts[keep], stops[keep])
 
 
-def detect_foreground(reference_warped, observed, valid, settings=RefineSettings()):
+def detect_foreground(reference_warped, observed, valid):
     """Foreground of the observed frame against the warped reference.
 
     Thresholds |warped - observed| over the valid pixels with Otsu,
-    fills enclosed holes, and drops blobs below min_blob_px. Invalid
+    fills enclosed holes, and drops blobs below MIN_BLOB_PX. Invalid
     pixels never enter the histogram and are never foreground.
     """
     ref = np.asarray(reference_warped, dtype=np.float64)
@@ -144,14 +133,13 @@ def detect_foreground(reference_warped, observed, valid, settings=RefineSettings
     if not valid.any():
         return np.zeros_like(valid)
     diff = np.abs(ref - obs)
-    threshold = otsu_threshold(diff[valid], settings.histogram_bins)
+    threshold = otsu_threshold(diff[valid])
     raw = (diff > threshold) & valid
-    return remove_small_components(fill_holes(raw), settings.min_blob_px)
+    return remove_small_components(fill_holes(raw), MIN_BLOB_PX)
 
 
 def transfer_and_refine(reference_mask, reference_frame, observed_frame,
-                        omega, intrinsics, settings=RefineSettings(),
-                        warp=None):
+                        omega, intrinsics, warp=None):
     """Warp the reference road mask and subtract detected foreground.
 
     `warp`, when given, is a (warped, valid) warp of `reference_frame`
@@ -163,5 +151,5 @@ def transfer_and_refine(reference_mask, reference_frame, observed_frame,
     if warp is None:
         warp = warp_image(reference_frame, omega, intrinsics)
     warped, valid = warp
-    foreground = detect_foreground(warped, observed_frame, valid, settings)
+    foreground = detect_foreground(warped, observed_frame, valid)
     return transferred & ~foreground

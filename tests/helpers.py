@@ -14,9 +14,11 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 
-from roadalign.descriptor import DescriptorParams, similarity_to_bank
+from roadalign import _kernels
+from roadalign.descriptor import similarity_to_bank
 from roadalign.errors import SyncLossError
 from roadalign.imagecore import gaussian_kernel, gaussian_smooth
+from roadalign.spatial import warp_image
 from roadalign.temporal import SyncEmission
 
 
@@ -134,10 +136,9 @@ class RebuildingSynchronizer:
     emission to -inf, and runs fixed-lag inference on that table.
     """
 
-    def __init__(self, bank, cfg, params):
+    def __init__(self, bank, cfg):
         self._bank = bank
         self._cfg = cfg
-        self._params = params
         self._window = deque(maxlen=cfg.window_L + 1)
         self._next_index = 0
         self._last_label = None
@@ -149,10 +150,8 @@ class RebuildingSynchronizer:
         self._window.append(descriptor)
         if index < cfg.lag_l:
             return None
-        table = np.stack([
-            -(similarity_to_bank(d, self._bank, self._params.max_shift)
-              - self._params.mu_y) ** 2
-            for d in self._window])
+        table = np.stack([-(similarity_to_bank(d, self._bank) - 1.0) ** 2
+                          for d in self._window])
         if cfg.candidate_band is not None and self._last_label is not None:
             labels = np.arange(1, len(self._bank) + 1)
             table[:, np.abs(labels - self._last_label) > cfg.candidate_band] = \
@@ -274,6 +273,48 @@ def loop_lk_terms(warped, valid, obs, f, cx, cy, skip):
     return hess, grad, sse, count
 
 
+def motion_field(x, y, omega, intrinsics):
+    """Displacement (u, v) of the rotation flow at pixel positions (x, y).
+
+    Linear in the angles; quadratic in the re-centered coordinates.
+    Accepts scalars or arrays.
+    """
+    xb = np.asarray(x, dtype=np.float64) - intrinsics.cx
+    yb = np.asarray(y, dtype=np.float64) - intrinsics.cy
+    return _kernels.FlowBasis(xb, yb, intrinsics.focal_px).flow(
+        omega.omega_x, omega.omega_y, omega.omega_z)
+
+
+def ssd_objective(reference_frame, observed_frame, omega, intrinsics,
+                  border_skip=2):
+    """Sum of squared residuals of warp(reference) against observed.
+
+    Returns (sse, pixel count) over valid pixels inside the border skip.
+    """
+    sse, n, _, _ = _kernels.warp_sse(
+        reference_frame, observed_frame,
+        omega.omega_x, omega.omega_y, omega.omega_z,
+        intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
+    )
+    return sse, n
+
+
+def ssd_gradient(reference_frame, observed_frame, omega, intrinsics,
+                 border_skip=2):
+    """Analytic gradient of the SSD objective with respect to the angles.
+
+    Uses the warped-image gradients, so it equals the true derivative at
+    omega = 0 and degrades gracefully nearby. The pixel set matches
+    `ssd_objective` whenever the whole skip region warps validly.
+    """
+    warped, valid = warp_image(reference_frame, omega, intrinsics)
+    _, grad, _, _ = _kernels.lk_accumulate(
+        warped, valid, observed_frame,
+        intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
+    )
+    return 2.0 * grad
+
+
 def loop_masked_sse(warped, valid, obs, skip):
     h, w = warped.shape
     sse = 0.0
@@ -323,9 +364,9 @@ def similarity(a, b, max_shift=2):
     return min(1.0, max(-1.0, best))
 
 
-def observation_likelihood(a, b, params=DescriptorParams()):
-    """Observation term -(s - mu_y)**2 of descriptor a against reference b."""
-    return -(similarity(a, b, params.max_shift) - params.mu_y) ** 2
+def observation_likelihood(a, b):
+    """Observation term -(1 - s)**2 of descriptor a against reference b."""
+    return -(similarity(a, b) - 1.0) ** 2
 
 
 def naive_similarity(a, b, max_shift=2):

@@ -114,6 +114,39 @@ def test_align_frame_size_mismatch_is_a_data_error(mini_pair, tmp_path,
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["align", "groundtruth"])
+@pytest.mark.parametrize("case", ["mini", "tiny"])
+def test_descriptor_grid_under_2x2_is_a_data_error(mini_pair, tmp_path, capsys,
+                                                   command, case):
+    # a descriptor needs 2x2 cells: mini's 80x60 frames at a factor of
+    # 100000 make one cell, as do 14x12 frames at the default factor 16
+    cfg = tmp_path / "align.cfg"
+    if case == "mini":
+        ref, obs = mini_pair.ref, mini_pair.obs
+        cfg.write_text((mini_pair.root / "scene.cfg").read_text()
+                       + "\ndownsample_factor=100000\n")
+        message = ("frame_000000.ppm: frame is 80x60, under 2x2 descriptor "
+                   "cells at downsample_factor=100000")
+    else:
+        ref, obs = tmp_path / "ref", tmp_path / "obs"
+        ref.mkdir()
+        obs.mkdir()
+        rng = np.random.default_rng(81)
+        for t in range(3):
+            for side in (ref, obs):
+                save_image_rgb(0.1 + 0.8 * rng.random((12, 14, 3)),
+                               side / f"frame_{t:06d}.ppm")
+            save_mask(np.ones((12, 14), dtype=bool), ref / f"mask_{t:06d}.pgm")
+        cfg.write_text("theta=0.7\nfocal_px=20\n")
+        message = ("frame_000000.ppm: frame is 14x12, under 2x2 descriptor "
+                   "cells at downsample_factor=16")
+    out = tmp_path / "out"
+    assert main([command, str(ref), str(obs), str(out),
+                 "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side,extra,twin", [
     ("obs", "frame_3.ppm", "frame_000003.ppm"),
     ("ref", "frame_4.ppm", "frame_000004.ppm"),
@@ -202,12 +235,16 @@ def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
     ([], "mu_y=inf\n"),
     ([], "cx=inf\n"),
     ([], "diff_space=gray\n"),
+    ([], "min_blob_px=10\n"),
+    ([], "mu_y=0.9\n"),
+    ([], "max_shift=abc\n"),
+    ([], "# caf\xe9, not UTF-8\n"),
 ])
 def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
                                                    extra, config_line):
     cfg = tmp_path / "align.cfg"
-    cfg.write_text((mini_pair.root / "scene.cfg").read_text() + "\n"
-                   + config_line)
+    cfg.write_bytes((mini_pair.root / "scene.cfg").read_bytes() + b"\n"
+                    + config_line.encode("latin-1"))
     code = main(["align", str(mini_pair.ref), str(mini_pair.obs),
                  str(tmp_path / "out"), "--config", str(cfg), *extra])
     assert code == 2
@@ -218,11 +255,16 @@ def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
 def test_align_ignores_the_removed_sync_keys(mini_pair, tmp_path):
     # the sync model has no beta or sigma_y; a config that sets them,
     # even to values once rejected, still loads and aligns exactly as
-    # one without them, as does one whose diff_space is the feature space
+    # one without them, as does one that gives every former key its
+    # fixed value (diff_space the feature space)
     scene = (mini_pair.root / "scene.cfg").read_text()
     outs = []
     for name, extra in [("plain", ""), ("old", "beta=0\nsigma_y=0\n"),
-                        ("same", "diff_space=invariant\n")]:
+                        ("same", "diff_space=invariant\n"
+                                 "gradient_floor_ratio=0.05\nmax_shift=2\n"
+                                 "mu_y=1.0\nmax_iterations=50\n"
+                                 "robust_skip=2\nmin_blob_px=25\n"
+                                 "histogram_bins=256\n")]:
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(scene + "\n" + extra)
         outs.append(tmp_path / name)
@@ -230,9 +272,10 @@ def test_align_ignores_the_removed_sync_keys(mini_pair, tmp_path):
                      str(outs[-1]), "--config", str(cfg)]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert "sync.csv" in names and len(names) > 1
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for out in outs[1:]:
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_align_and_eval_round_trip(mini_pair, tmp_path, capsys):

@@ -22,6 +22,10 @@ def test_read_key_values_rejects_garbage(tmp_path):
         read_key_values(_write(tmp_path, "theta=0.7\nnot a pair\n"))
     with pytest.raises(ConfigError, match="empty key"):
         read_key_values(_write(tmp_path, "=0.7\n"))
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(b"theta=0.7\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin1.cfg: not UTF-8"):
+        read_key_values(p)
 
 
 def test_load_requires_theta_and_focal(tmp_path):
@@ -106,6 +110,14 @@ def test_bad_values_raise_config_error(tmp_path):
     # space for it is rejected, not silently read another way
     ("diff_space=gray", "diff_space"),
     ("feature_space=gray\ndiff_space=invariant", "diff_space"),
+    # the other former keys are fixed too
+    ("min_blob_px=10", "min_blob_px"),
+    ("mu_y=0.9", "mu_y"),
+    ("max_shift=abc", "max_shift"),
+    ("gradient_floor_ratio=0.3", "gradient_floor_ratio"),
+    ("max_iterations=2.0", "max_iterations"),
+    ("robust_skip=1", "robust_skip"),
+    ("histogram_bins=64", "histogram_bins"),
 ])
 def test_bad_value_fails_at_load(tmp_path, line, key):
     p = _write(tmp_path, f"theta=0.7\nfocal_px=150\n{line}\n")
@@ -117,6 +129,10 @@ def test_bad_value_fails_at_load(tmp_path, line, key):
     ("", "invariant"),
     ("diff_space=invariant\n", "invariant"),
     ("feature_space=gray\ndiff_space=gray\n", "gray"),
+    # every former key, at its fixed value or empty
+    ("gradient_floor_ratio=0.05\nmax_shift=2\nmu_y=1\nmax_iterations=50\n"
+     "robust_skip=2\nmin_blob_px=25\nhistogram_bins=256\n", "invariant"),
+    ("diff_space=\nmu_y=\nmin_blob_px=\n", "invariant"),
 ])
 def test_diff_space_equal_to_the_feature_space_loads(tmp_path, lines, space):
     cfg = PipelineConfig.load(
@@ -139,26 +155,14 @@ def test_validation_errors():
 
 def test_factories_propagate_values():
     cfg = PipelineConfig(theta=0.7, focal_px=150.0, lag=3, window=7,
-                         band=20, smooth_sigma=1.5, downsample_factor=8,
-                         mu_y=0.8,
-                         max_shift=1, pyramid_levels=2, max_iterations=30,
-                         robust_skip=1, min_blob_px=10, histogram_bins=64)
+                         band=20, smooth_sigma=1.5, downsample_factor=8)
     params = cfg.descriptor_params()
     assert params.smooth_sigma == 1.5
     assert params.downsample_factor == 8
-    assert params.max_shift == 1
-    assert params.mu_y == 0.8
     sync = cfg.sync_config()
     assert sync.lag_l == 3
     assert sync.window_L == 7
     assert sync.candidate_band == 20
-    lk = cfg.lk_settings()
-    assert lk.pyramid_levels == 2
-    assert lk.max_iterations == 30
-    assert lk.robust_skip == 1
-    refine = cfg.refine_settings()
-    assert refine.min_blob_px == 10
-    assert refine.histogram_bins == 64
     k = cfg.intrinsics(160, 120)
     assert (k.focal_px, k.cx, k.cy) == (150.0, 79.5, 59.5)
     cfg2 = PipelineConfig(theta=0.7, focal_px=150.0, cx=70.0, cy=50.0)

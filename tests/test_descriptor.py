@@ -3,9 +3,9 @@ import pytest
 from helpers import (naive_similarity, observation_likelihood, similarity,
                      textured_image)
 
-from roadalign.descriptor import (Descriptor, DescriptorBank,
-                                  DescriptorParams, compute_descriptor,
-                                  similarity_to_bank)
+from roadalign.descriptor import (GRADIENT_FLOOR_RATIO, Descriptor,
+                                  DescriptorBank, DescriptorParams,
+                                  compute_descriptor, similarity_to_bank)
 from roadalign.temporal import SyncConfig, build_likelihood_table
 
 
@@ -21,10 +21,6 @@ def test_params_validation():
         DescriptorParams(smooth_sigma=0.0)
     with pytest.raises(ValueError):
         DescriptorParams(downsample_factor=0)
-    with pytest.raises(ValueError):
-        DescriptorParams(gradient_floor_ratio=1.0)
-    with pytest.raises(ValueError):
-        DescriptorParams(max_shift=-1)
 
 
 def test_from_gradients_normalizes():
@@ -39,14 +35,16 @@ def test_from_gradients_normalizes():
 
 def test_compute_descriptor_unit_norm_and_floor():
     img = textured_image(1)
-    params = DescriptorParams(downsample_factor=16, gradient_floor_ratio=0.3)
-    d = compute_descriptor(img, params)
+    # the left half keeps 2% of its contrast, below the floor
+    img[:, :80] = 0.5 + 0.02 * (img[:, :80] - 0.5)
+    d = compute_descriptor(img, DescriptorParams(downsample_factor=16))
     assert d.shape == (120 // 16 + 1, 160 // 16)
     assert (d.dx ** 2).sum() + (d.dy ** 2).sum() == pytest.approx(1.0)
     mag = np.hypot(d.dx, d.dy)
+    assert not mag[:, :4].any()
     nonzero = mag[mag > 0]
     # every surviving cell clears the floor relative to the strongest cell
-    assert nonzero.min() >= 0.3 * mag.max() - 1e-12
+    assert nonzero.min() >= GRADIENT_FLOOR_RATIO * mag.max() - 1e-12
 
 
 def test_compute_descriptor_rejects_tiny_images():
@@ -152,13 +150,12 @@ def test_bank_column_range_is_bit_identical_to_full(shape):
 
 
 def test_observation_likelihood_composes():
-    # the table's term is the oracle's: -(similarity - mu_y)**2
+    # the table's term is the oracle's: -(1 - similarity)**2
     rng = np.random.default_rng(13)
     a = _random_descriptor(rng)
     b = _random_descriptor(rng)
-    params = DescriptorParams(max_shift=1, mu_y=0.9)
-    want = -(similarity(a, b, 1) - 0.9) ** 2
-    assert observation_likelihood(a, b, params) == pytest.approx(want, abs=1e-15)
+    want = -(1.0 - similarity(a, b, 2)) ** 2
+    assert observation_likelihood(a, b) == pytest.approx(want, abs=1e-15)
     table = build_likelihood_table([a], DescriptorBank([b]),
-                                   SyncConfig(lag_l=0, window_L=0), params)
+                                   SyncConfig(lag_l=0, window_L=0))
     assert table[0, 0] == pytest.approx(want, abs=1e-12)

@@ -239,7 +239,7 @@ def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
             feature_space, direction)
         expected = transfer_and_refine(
             ref.masks[r.label - 1], ref.feature[r.label - 1], obs, r.omega,
-            intrinsics, cfg.refine_settings())
+            intrinsics)
         mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
         assert np.array_equal(mask, expected)
 
@@ -282,7 +282,7 @@ def test_align_registers_in_float32(mini_pair, mini_cfg, tmp_path,
 def test_sync_csv_score_is_the_frames_observation_term(run, mini_pair,
                                                        mini_cfg, tmp_path):
     # in both modes, a row's score is its own frame's term at its label,
-    # -(similarity - mu_y)**2, and 0 for a perfect match; sync.csv holds
+    # -(1 - similarity)**2, and 0 for a perfect match; sync.csv holds
     # it to 9 significant digits
     rows = run(mini_pair.ref, mini_pair.obs, tmp_path / "out", mini_cfg)
     assert len(rows) >= 14 - mini_cfg.lag
@@ -298,8 +298,7 @@ def test_sync_csv_score_is_the_frames_observation_term(run, mini_pair,
     ref = [descriptor(path) for _, path in list_frames(mini_pair.ref)]
     for r in rows:
         obs = descriptor(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm")
-        want = -(similarity(obs, ref[r.label - 1], params.max_shift)
-                 - params.mu_y) ** 2
+        want = -(1.0 - similarity(obs, ref[r.label - 1])) ** 2
         assert r.score == pytest.approx(want, abs=1e-12)
 
 
@@ -315,6 +314,18 @@ def test_frame_size_mismatch_is_a_data_error(run, mini_pair, mini_cfg,
     with pytest.raises(DataError, match=r"frame_000000\.ppm: frame is 96x60"):
         run(mini_pair.ref, obs, tmp_path / "out", mini_cfg)
     assert not list((tmp_path / "out").glob("mask_*.pgm"))
+
+
+def test_reference_mask_size_mismatch_names_the_mask(mini_pair, mini_cfg,
+                                                     tmp_path):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for path in mini_pair.ref.iterdir():
+        (ref / path.name).write_bytes(path.read_bytes())
+    save_mask(np.ones((10, 10), dtype=bool), ref / "mask_000003.pgm")
+    with pytest.raises(DataError, match=r"mask_000003\.pgm: mask is 10x10, "
+                                        r"its frame .*frame_000003\.ppm is 80x60"):
+        load_reference(ref, mini_cfg)
 
 
 def test_run_eval_identity_and_outputs(mini_pair, tmp_path):

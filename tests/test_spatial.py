@@ -1,13 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from helpers import (loop_lk_terms, loop_masked_sse, loop_warp_bilinear,
-                     textured_image)
+                     motion_field, ssd_gradient, ssd_objective, textured_image)
 
 from roadalign import _kernels
 from roadalign.errors import AlignmentError
-from roadalign.spatial import (CameraIntrinsics, LKSettings, RotationParams,
-                               lk_align, motion_field, ssd_gradient,
-                               ssd_objective, warp_image, warp_mask)
+from roadalign.spatial import (CameraIntrinsics, RotationParams, lk_align,
+                               warp_image, warp_mask)
 
 INTR = CameraIntrinsics(focal_px=500.0, cx=79.5, cy=59.5)
 
@@ -20,9 +21,6 @@ def test_rotation_params_validation():
         RotationParams(omega_y=-0.4)
     with pytest.raises(ValueError):
         RotationParams(omega_z=np.nan)
-    p = RotationParams(0.01, -0.02, 0.03)
-    assert np.allclose(p.as_array(), [0.01, -0.02, 0.03])
-    assert np.allclose((-p).as_array(), [-0.01, 0.02, -0.03])
 
 
 def test_intrinsics_validation_and_scaling():
@@ -35,12 +33,10 @@ def test_intrinsics_validation_and_scaling():
 
 
 def test_lk_settings_validation():
-    with pytest.raises(ValueError):
-        LKSettings(pyramid_levels=0)
-    with pytest.raises(ValueError):
-        LKSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        LKSettings(robust_skip=-1)
+    # the pyramid depth is the one LK setting left to callers
+    img = textured_image(46, (60, 80))
+    with pytest.raises(ValueError, match="levels"):
+        lk_align(img, img, INTR, levels=0)
 
 
 def test_motion_field_formula_and_linearity():
@@ -77,7 +73,7 @@ def test_warp_round_trip_small_rotation():
     img = textured_image(42, (120, 160))
     omega = RotationParams(0.005, -0.008, 0.003)
     fwd, v1 = warp_image(img, omega, INTR)
-    back, v2 = warp_image(fwd, -omega, INTR)
+    back, v2 = warp_image(fwd, RotationParams(-0.005, 0.008, -0.003), INTR)
     both = v1 & v2
     both[:3, :] = both[-3:, :] = False
     both[:, :3] = both[:, -3:] = False
@@ -115,7 +111,7 @@ def test_ssd_objective_and_gradient_stay_float64():
     obs = textured_image(49, (60, 80))
     k = CameraIntrinsics(250.0, 39.5, 29.5)
     omega = RotationParams(0.004, -0.006, 0.002)
-    warped, valid = loop_warp_bilinear(ref, *omega.as_array(), k.focal_px,
+    warped, valid = loop_warp_bilinear(ref, *astuple(omega), k.focal_px,
                                        k.cx, k.cy)
     sse, n = ssd_objective(ref, obs, omega, k)
     s_lp, n_lp = loop_masked_sse(warped, valid, obs, 2)
@@ -133,7 +129,7 @@ def test_lk_align_recovers_known_rotation():
     omega_true = RotationParams(0.006, -0.004, 0.008)
     obs, _ = warp_image(ref, omega_true, INTR)
     est, mse, _ = lk_align(ref, obs, INTR)
-    assert np.abs(est.as_array() - omega_true.as_array()).max() <= 2e-4
+    assert np.abs(np.subtract(astuple(est), astuple(omega_true))).max() <= 2e-4
     initial, _ = ssd_objective(ref, obs, RotationParams(), INTR)
     n0 = ssd_objective(ref, obs, RotationParams(), INTR)[1]
     assert mse <= initial / n0  # never worse than the identity start
@@ -143,7 +139,7 @@ def test_lk_align_recovers_known_rotation():
 def test_lk_align_returns_the_warp_of_its_rotation(levels):
     ref = textured_image(47, (120, 160))
     obs, _ = warp_image(ref, RotationParams(-0.005, 0.007, 0.003), INTR)
-    est, _, (warped, valid) = lk_align(ref, obs, INTR, LKSettings(levels))
+    est, _, (warped, valid) = lk_align(ref, obs, INTR, levels)
     # registration runs in float32, so its warp is that of the float32 frame
     fresh, fresh_valid = warp_image(ref.astype(np.float32), est, INTR)
     assert warped.dtype == np.float32

@@ -15,7 +15,7 @@ from roadalign.temporal import (OnlineSynchronizer, SyncConfig,
                                 build_likelihood_table, fixed_lag_infer,
                                 map_sequence)
 
-PARAMS = DescriptorParams(smooth_sigma=1.5, downsample_factor=8, max_shift=2)
+PARAMS = DescriptorParams(smooth_sigma=1.5, downsample_factor=8)
 
 
 def _frames(count, start=0, step=1, shape=(60, 80)):
@@ -45,7 +45,7 @@ def test_sync_config_validation():
 
 # --- table of observation terms ---------------------------------------------
 
-def _table_of_similarities(monkeypatch, sims, params=PARAMS):
+def _table_of_similarities(monkeypatch, sims):
     """The one-row table of a descriptor whose similarity to label j+1
     is sims[j]."""
     sims = np.asarray(sims, dtype=np.float64)
@@ -53,17 +53,13 @@ def _table_of_similarities(monkeypatch, sims, params=PARAMS):
                         lambda d, bank, max_shift, start, stop: sims[start:stop])
     descs = _descriptors(_frames(len(sims)))
     return build_likelihood_table(descs[:1], DescriptorBank(descs),
-                                  SyncConfig(lag_l=0, window_L=0), params)[0]
+                                  SyncConfig(lag_l=0, window_L=0))[0]
 
 
 def test_table_frozen_values(monkeypatch):
-    # -(s - mu_y)**2: 0 at a perfect match, -0.25 at s = 0.5, -4 at s = -1
+    # -(1 - s)**2: 0 at a perfect match, -0.25 at s = 0.5, -4 at s = -1
     assert list(_table_of_similarities(monkeypatch, [1.0, 0.5, -1.0])) == \
         [0.0, -0.25, -4.0]
-    row = _table_of_similarities(
-        monkeypatch, [1.0, 0.5, 0.9],
-        DescriptorParams(smooth_sigma=1.5, downsample_factor=8, mu_y=0.9))
-    assert row == pytest.approx([-0.01, -0.16, 0.0], abs=1e-15)
 
 
 def test_table_term_monotone_in_similarity(monkeypatch):
@@ -76,7 +72,7 @@ def test_table_diagonal_dominates_for_self_sync():
     frames = _frames(4)
     descs = _descriptors(frames)
     cfg = SyncConfig(lag_l=1, window_L=3)
-    table = build_likelihood_table(descs, DescriptorBank(descs), cfg, PARAMS)
+    table = build_likelihood_table(descs, DescriptorBank(descs), cfg)
     assert table.shape == (4, 4)
     assert np.all(np.isfinite(table)) and np.all(table <= 0)
     for k in range(4):
@@ -87,7 +83,7 @@ def test_table_constant_frames_score_equally():
     flat = [np.full((60, 80), 0.5)] * 3
     ref = _bank(_frames(4))
     cfg = SyncConfig(lag_l=1, window_L=3)
-    table = build_likelihood_table(_descriptors(flat), ref, cfg, PARAMS)
+    table = build_likelihood_table(_descriptors(flat), ref, cfg)
     # a constant frame has the zero descriptor: same similarity (0) everywhere
     assert np.allclose(table, table[0, 0])
 
@@ -96,12 +92,12 @@ def test_table_candidate_band_zeroes_far_labels():
     descs = _descriptors(_frames(2))
     ref = _bank(_frames(9))
     cfg = SyncConfig(lag_l=1, window_L=3, candidate_band=2)
-    table = build_likelihood_table(descs, ref, cfg, PARAMS, center=5)
+    table = build_likelihood_table(descs, ref, cfg, center=5)
     labels = np.arange(1, 10)
     assert np.all(table[:, np.abs(labels - 5) > 2] == -np.inf)
     assert np.all(np.isfinite(table[:, np.abs(labels - 5) <= 2]))
     # without a center the band is inactive
-    full = build_likelihood_table(descs, ref, cfg, PARAMS)
+    full = build_likelihood_table(descs, ref, cfg)
     assert np.all(np.isfinite(full))
 
 
@@ -110,7 +106,7 @@ def test_window_table_matches_fresh_band_zeroed_table():
     descs = _descriptors(_frames(5, start=3))
     cfg = SyncConfig(lag_l=1, window_L=4, candidate_band=2)
     full = build_likelihood_table(
-        descs, bank, SyncConfig(lag_l=1, window_L=4), PARAMS)
+        descs, bank, SyncConfig(lag_l=1, window_L=4))
     labels = np.arange(1, 13)
 
     def band_limited(center):
@@ -122,21 +118,21 @@ def test_window_table_matches_fresh_band_zeroed_table():
     # bare descriptors: centers that move back, leave the bank, or are unset
     for center in [7, 9, 3, 12, None, 1, 20]:
         assert np.array_equal(
-            build_likelihood_table(descs, bank, cfg, PARAMS, center=center),
+            build_likelihood_table(descs, bank, cfg, center=center),
             band_limited(center))
     # cached frames: centers that never decrease, and jump past the
     # columns already scored
     window = [temporal._WindowFrame(d) for d in descs]
     for center in [1, 3, 7, 9, 12]:
         assert np.array_equal(
-            build_likelihood_table(window, bank, cfg, PARAMS, center=center),
+            build_likelihood_table(window, bank, cfg, center=center),
             band_limited(center))
 
 
 def test_table_rejects_an_empty_window():
     with pytest.raises(ValueError):
         build_likelihood_table([], _bank(_frames(5)),
-                               SyncConfig(lag_l=1, window_L=3), PARAMS)
+                               SyncConfig(lag_l=1, window_L=3))
 
 
 # --- fixed-lag inference ----------------------------------------------------
@@ -406,7 +402,7 @@ def test_sync_result_invariants(monkeypatch):
     # rows rely on; fixed_lag_infer's floor keeps this from happening
     ref = _descriptors(_frames(6))
     sync = OnlineSynchronizer(DescriptorBank(ref),
-                              SyncConfig(lag_l=0, window_L=2), PARAMS)
+                              SyncConfig(lag_l=0, window_L=2))
     labels = iter([1, 3, 3, 2])
     monkeypatch.setattr(temporal, "fixed_lag_infer",
                         lambda table, cfg, min_label: (next(labels), 0.5))
@@ -419,7 +415,7 @@ def test_sync_result_invariants(monkeypatch):
 
 def _emissions(ref, obs, cfg):
     """The emissions of an OnlineSynchronizer pushed every descriptor of obs."""
-    sync = OnlineSynchronizer(DescriptorBank(ref), cfg, PARAMS)
+    sync = OnlineSynchronizer(DescriptorBank(ref), cfg)
     return [e for e in map(sync.push, obs) if e is not None]
 
 
@@ -427,7 +423,7 @@ def test_online_self_sync_recovers_identity():
     frames = _frames(10)
     ref = _descriptors(frames)
     cfg = SyncConfig(lag_l=2, window_L=4)
-    sync = OnlineSynchronizer(DescriptorBank(ref), cfg, PARAMS)
+    sync = OnlineSynchronizer(DescriptorBank(ref), cfg)
     emitted = []
     for i, d in enumerate(ref):
         e = sync.push(d)
@@ -471,7 +467,7 @@ def test_online_labels_never_decrease_under_noise():
     assert np.all(np.diff(labels) >= 0)
 
 
-def _push_both(ref, obs, cfg, params, monkeypatch):
+def _push_both(ref, obs, cfg, monkeypatch):
     """Outcome of each push (emission or "loss") from the cached
     synchronizer and from the rebuilding oracle, plus the cached one's
     similarity_to_bank call count."""
@@ -485,8 +481,8 @@ def _push_both(ref, obs, cfg, params, monkeypatch):
     monkeypatch.setattr(temporal, "similarity_to_bank", counting)
     bank = DescriptorBank(ref)
     outcomes = []
-    for sync in (OnlineSynchronizer(bank, cfg, params),
-                 RebuildingSynchronizer(bank, cfg, params)):
+    for sync in (OnlineSynchronizer(bank, cfg),
+                 RebuildingSynchronizer(bank, cfg)):
         got = []
         for d in obs:
             try:
@@ -501,7 +497,7 @@ def test_cached_rows_match_rebuilt_tables_without_band(monkeypatch):
     ref = _descriptors(_frames(12))
     obs = [ref[t // 2] for t in range(20)]
     cfg = SyncConfig(lag_l=2, window_L=4)
-    cached, rebuilt, calls = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
+    cached, rebuilt, calls = _push_both(ref, obs, cfg, monkeypatch)
     assert cached == rebuilt
     assert sum(e is not None for e in cached) == 18
     assert calls == len(obs)  # each frame scored once
@@ -512,7 +508,7 @@ def test_cached_rows_match_rebuilt_tables_when_center_outruns_lookahead(
     ref = _descriptors(_frames(40))
     obs = [ref[2 * t] for t in range(20)]
     cfg = SyncConfig(lag_l=2, window_L=4, candidate_band=2)
-    cached, rebuilt, calls = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
+    cached, rebuilt, calls = _push_both(ref, obs, cfg, monkeypatch)
     assert cached == rebuilt
     assert [e.label for e in cached[2:]] == list(range(1, 37, 2))
     # the center gains 2 labels a push, so cached rows get extended
@@ -524,7 +520,7 @@ def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
     # feasible and a window cannot lose sync by itself; both inferences
     # are made to lose it while a blank frame (zero descriptor, similarity
     # 0 to every label) is in the window
-    blank_term = -PARAMS.mu_y ** 2
+    blank_term = -1.0
 
     def losing(infer):
         def wrapped(table, cfg, min_label=1):
@@ -543,7 +539,7 @@ def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
     obs = ref[:16]
     obs[7] = compute_descriptor(np.full((60, 80), 0.5), PARAMS)
     cfg = SyncConfig(lag_l=2, window_L=4, candidate_band=3)
-    cached, rebuilt, _ = _push_both(ref, obs, cfg, PARAMS, monkeypatch)
+    cached, rebuilt, _ = _push_both(ref, obs, cfg, monkeypatch)
     assert cached == rebuilt
     assert "loss" in cached
     assert cached[-1] != "loss"
@@ -562,18 +558,16 @@ def _random_descriptors(draw, count):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), members=st.integers(1, 8), pushes=st.integers(1, 14),
        band=st.sampled_from([None, 0, 1, 2, 4]), lag=st.integers(0, 3),
-       extra=st.integers(0, 3), max_shift=st.integers(0, 2),
-       mu_y=st.floats(-2.0, 2.0))
+       extra=st.integers(0, 3))
 def test_online_synchronizer_emits_once_per_push_after_the_lag(
-        data, members, pushes, band, lag, extra, max_shift, mu_y):
+        data, members, pushes, band, lag, extra):
     # every term is finite, so the last emitted label always stays
     # feasible: no bank, probe (zero descriptors included), band or
     # lag/window pair can make a push lose sync
     bank = DescriptorBank(data.draw(_random_descriptors(members)))
     probes = data.draw(_random_descriptors(pushes))
     cfg = SyncConfig(lag_l=lag, window_L=lag + extra, candidate_band=band)
-    params = DescriptorParams(max_shift=max_shift, mu_y=mu_y)
-    sync = OnlineSynchronizer(bank, cfg, params)
+    sync = OnlineSynchronizer(bank, cfg)
     labels = []
     for i, d in enumerate(probes):
         emission = sync.push(d)

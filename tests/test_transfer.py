@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from roadalign.spatial import CameraIntrinsics, RotationParams, warp_mask
-from roadalign.transfer import (RefineSettings, detect_foreground, fill_holes,
-                                otsu_threshold, remove_small_components,
-                                transfer_and_refine)
-
-
-def test_refine_settings_validation():
-    with pytest.raises(ValueError):
-        RefineSettings(min_blob_px=-1)
-    with pytest.raises(ValueError):
-        RefineSettings(histogram_bins=1)
+from roadalign.transfer import (detect_foreground, fill_holes, otsu_threshold,
+                                remove_small_components, transfer_and_refine)
 
 
 def test_otsu_matches_naive_enumeration():
@@ -169,7 +161,7 @@ def test_invalid_pixels_never_become_foreground():
     obs = np.clip(ref + 0.4, 0, 1)
     valid = np.zeros(ref.shape, dtype=bool)
     valid[:, :20] = True
-    fg = detect_foreground(ref, obs, valid, RefineSettings(min_blob_px=0))
+    fg = detect_foreground(ref, obs, valid)
     assert not fg[:, 20:].any()
 
 
