@@ -13,7 +13,6 @@ from .config import PipelineConfig
 from .errors import (ConfigError, DataError, ImageFormatError, RoadAlignError,
                      UsageError)
 from .pipeline import run_align, run_eval, run_groundtruth
-from .synth import make_pair
 
 __version__ = "0.1.0"
 
@@ -24,3 +23,12 @@ __all__ = [
     "RoadAlignError", "UsageError", "make_pair", "run_align", "run_eval",
     "run_groundtruth", "__version__",
 ]
+
+
+def __getattr__(name):
+    # synth renders test rides; importing it only when asked keeps it off
+    # the import path of a run
+    if name == "make_pair":
+        from .synth import make_pair
+        return make_pair
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

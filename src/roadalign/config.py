@@ -27,13 +27,17 @@ _FORMER_KEYS = {
     "min_blob_px": (int, MIN_BLOB_PX),
     "histogram_bins": (int, HISTOGRAM_BINS),
 }
+# keys that synth writes to scene.cfg beyond the alignment keys, so that
+# the file doubles as the alignment config; they set nothing here
+SCENE_KEYS = ("seed", "image_width", "image_height", "frames", "road_width",
+              "camera_height", "camera_pitch", "track", "ref.frames",
+              "obs.frames")
 
 
 def read_key_values(path):
     """Parse a key=value file; # starts a comment, blank lines are skipped.
 
-    Unknown keys are kept, so a generated scene.cfg can double as the
-    alignment config.
+    Every key is kept; `PipelineConfig.load` decides which it accepts.
     """
     out = {}
     try:
@@ -118,11 +122,23 @@ class PipelineConfig:
         and fields without a default (theta, focal_px) must come from
         one of the two sources. Fields that may be None also accept
         `none` or `off`. A former key (see _FORMER_KEYS) may be empty or
-        give its fixed value; any other value is a ConfigError.
+        give its fixed value; any other value is a ConfigError. So is a
+        key that is none of these, nor `beta`, `sigma_y` or one of
+        SCENE_KEYS, which are ignored.
         """
         raw = read_key_values(config_path) if config_path else {}
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
+        # beta and sigma_y belonged to the former sync model and never
+        # changed a label
+        known = {f.name for f in fields(cls)} | {*_FORMER_KEYS, "beta",
+                                                 "sigma_y", *SCENE_KEYS}
+        for key in raw:
+            if key not in known:
+                import difflib  # only a misspelt config pays for it
+                near = difflib.get_close_matches(key, sorted(known), n=1)
+                hint = f"; did you mean {near[0]!r}?" if near else ""
+                raise ConfigError(f"unknown config key {key!r}{hint}")
         values = {}
         for f in fields(cls):
             text = str(raw.get(f.name, "")).strip()

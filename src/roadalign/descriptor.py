@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import downsample, gaussian_smooth, gradient
+from .imagecore import gradient, smooth_and_average
 
 # cells whose gradient magnitude is below this share of the frame's
 # largest are zeroed
@@ -31,8 +31,9 @@ class DescriptorParams:
     def __post_init__(self):
         if not self.smooth_sigma > 0:
             raise ValueError("smooth_sigma must be positive")
-        if self.downsample_factor < 1:
-            raise ValueError("downsample_factor must be at least 1")
+        if self.downsample_factor < 1 or \
+                int(self.downsample_factor) != self.downsample_factor:
+            raise ValueError("downsample_factor must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,16 @@ def compute_descriptor(img, params=DescriptorParams()):
     Smooth, block-mean downsample, take gradients, zero every cell whose
     magnitude falls below GRADIENT_FLOOR_RATIO of the maximum, then
     normalize. The downsampled frame must be at least 2x2.
+
+    Smoothing and downsampling are both linear, so they are one
+    `smooth_and_average` operator per axis, applied to the frame less its
+    first pixel: no gradient changes, and a flat frame gives exact zeros.
     """
-    small = downsample(gaussian_smooth(img, params.smooth_sigma),
-                       params.downsample_factor)
+    img = np.asarray(img, dtype=np.float64)
+    rows, cols = (smooth_and_average(n, params.smooth_sigma,
+                                     params.downsample_factor)
+                  for n in img.shape)
+    small = rows @ (img - img.flat[0]) @ cols.T
     if small.shape[0] < 2 or small.shape[1] < 2:
         raise ValueError(
             f"image too small: {small.shape[1]}x{small.shape[0]} after downsampling"

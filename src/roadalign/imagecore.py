@@ -12,6 +12,7 @@ for j = r down to 1. That is the order in which scipy.ndimage sums an odd
 symmetric kernel, so both give the same bits.
 """
 
+import functools
 import math
 import os
 from pathlib import Path
@@ -109,28 +110,43 @@ def read_image_shape(path):
     return _check_payload(path, magic, width, height, offset, size)
 
 
+def _read_pnm(path):
+    """(magic, payload) of a binary PGM or PPM file.
+
+    The payload is a read-only uint8 array of the shape `load_image`
+    gives the file.
+    """
+    data = Path(path).read_bytes()
+    magic, width, height, _, offset = _parse_pnm_header(data)
+    shape = _check_payload(path, magic, width, height, offset, len(data))
+    payload = np.frombuffer(data, dtype=np.uint8, count=math.prod(shape),
+                            offset=offset)
+    return magic, payload.reshape(shape)
+
+
 def load_image(path):
     """Load a binary PGM (P5) or PPM (P6) file.
 
     Gray values are mapped to [0, 1] by v / 255. Color channels are
     additionally clamped to [RGB_FLOOR, 1].
     """
-    data = Path(path).read_bytes()
-    magic, width, height, _, offset = _parse_pnm_header(data)
-    shape = _check_payload(path, magic, width, height, offset, len(data))
-    payload = data[offset:offset + math.prod(shape)]
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if magic == "P5":
-        return raw.reshape(shape)
-    return np.maximum(raw.reshape(shape), RGB_FLOOR)
+    magic, payload = _read_pnm(path)
+    img = payload.astype(np.float64)
+    img /= 255.0
+    if magic == "P6":
+        np.maximum(img, RGB_FLOOR, out=img)
+    return img
 
 
 def load_mask(path):
-    """Load a P5 file as a boolean road mask (values above 0.5 are road)."""
-    img = load_image(path)
-    if img.ndim != 2:
+    """Load a P5 file as a boolean road mask (values above 0.5 are road).
+
+    v / 255 > 0.5 holds exactly for the bytes v above 127.
+    """
+    magic, payload = _read_pnm(path)
+    if magic != "P5":
         raise MalformedHeaderError(f"{path}: mask must be a P5 image")
-    return img > 0.5
+    return payload > 127
 
 
 def save_mask(mask, path):
@@ -225,6 +241,26 @@ def downsample(img, factor):
     rcount = np.minimum(ri + factor, h) - ri
     ccount = np.minimum(ci + factor, w) - ci
     return sums / np.outer(rcount, ccount)
+
+
+@functools.lru_cache(maxsize=16)
+def smooth_and_average(n, sigma, factor):
+    """(ceil(n / factor), n) operator of `downsample(gaussian_smooth(.))`
+    along one axis of n samples.
+
+    Row i smooths a line as `gaussian_smooth` does and averages block i
+    of `factor` samples of the result, a partial last block over what it
+    holds, as `downsample` does. So for an h x w frame,
+    R @ img @ C.T with R = smooth_and_average(h, ...) and
+    C = smooth_and_average(w, ...) is the smoothed, downsampled frame
+    up to rounding. Computed once per key and read-only.
+    """
+    smoothed = _filter_lines(np.eye(n), gaussian_kernel(sigma), 0)
+    starts = np.arange(0, n, factor)
+    counts = np.minimum(starts + factor, n) - starts
+    op = np.add.reduceat(smoothed, starts, axis=0) / counts[:, None]
+    op.setflags(write=False)
+    return op
 
 
 def gradient(img):

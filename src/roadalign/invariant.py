@@ -43,9 +43,15 @@ def log_chroma_projection(img, direction):
         raise ValueError("expected an (h, w, 3) array")
     if np.any(arr <= 0.0):
         raise ValueError("channels must be strictly positive")
-    chi1 = np.log(arr[..., 0] / arr[..., 1])
-    chi2 = np.log(arr[..., 2] / arr[..., 1])
-    return chi1 * math.cos(direction.theta) + chi2 * math.sin(direction.theta)
+    # the operations of log(R/G) cos + log(B/G) sin, in place
+    proj = np.divide(arr[..., 0], arr[..., 1])
+    np.log(proj, out=proj)
+    proj *= math.cos(direction.theta)
+    chi2 = np.divide(arr[..., 2], arr[..., 1])
+    np.log(chi2, out=chi2)
+    chi2 *= math.sin(direction.theta)
+    proj += chi2
+    return proj
 
 
 def rgb_to_invariant(img, direction):
@@ -61,4 +67,6 @@ def rgb_to_invariant(img, direction):
     # stretched to full contrast
     if hi - lo <= 1e-12 * max(1.0, abs(hi), abs(lo)):
         return np.full_like(proj, 0.5)
-    return (proj - lo) / (hi - lo)
+    proj -= lo
+    proj /= hi - lo
+    return proj

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SCENE_KEYS
 from .imagecore import pyramid_depth, save_image_rgb, save_mask
 
 MAX_JITTER = 0.02  # radians per axis
@@ -496,17 +497,14 @@ def _scene_cfg_text(scene, ride_ref, ride_obs):
         "smooth_sigma=1.5",
         "downsample_factor=8",
         f"pyramid_levels={levels}",
-        f"seed={scene.seed}",
-        f"image_width={scene.image_width}",
-        f"image_height={scene.image_height}",
-        f"frames={scene.frames}",
-        f"road_width={scene.road_width:.10g}",
-        f"camera_height={scene.camera_height:.10g}",
-        f"camera_pitch={scene.camera_pitch:.10g}",
-        f"track={track}",
-        f"ref.frames={len(_resolve_profile(scene, ride_ref))}",
-        f"obs.frames={len(_resolve_profile(scene, ride_obs))}",
     ]
+    values = (scene.seed, scene.image_width, scene.image_height,
+              scene.frames, f"{scene.road_width:.10g}",
+              f"{scene.camera_height:.10g}", f"{scene.camera_pitch:.10g}",
+              track, len(_resolve_profile(scene, ride_ref)),
+              len(_resolve_profile(scene, ride_obs)))
+    lines += [f"{key}={value}" for key, value in zip(SCENE_KEYS, values,
+                                                      strict=True)]
     return "\n".join(lines) + "\n"
 
 

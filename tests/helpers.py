@@ -17,7 +17,8 @@ from scipy import ndimage
 from roadalign import _kernels
 from roadalign.descriptor import similarity_to_bank
 from roadalign.errors import SyncLossError
-from roadalign.imagecore import gaussian_kernel, gaussian_smooth
+from roadalign.imagecore import (RGB_FLOOR, _read_pnm, downsample,
+                                 gaussian_kernel, gaussian_smooth)
 from roadalign.spatial import warp_image
 from roadalign.temporal import SyncEmission
 
@@ -430,6 +431,21 @@ def naive_downsample(img, factor):
             block = img[i * factor:(i + 1) * factor, j * factor:(j + 1) * factor]
             out[i, j] = block.mean()
     return out
+
+
+def smoothed_grid(img, sigma, factor):
+    """The descriptor's smoothed and block-averaged frame, computed the
+    direct way: smooth the whole frame, then take block means."""
+    return downsample(gaussian_smooth(img, sigma), factor)
+
+
+def float_load_image(path):
+    """`load_image` as a float64 formula over the file's bytes."""
+    magic, payload = _read_pnm(path)
+    raw = payload.ravel().astype(np.float64) / 255.0
+    if magic == "P5":
+        return raw.reshape(payload.shape)
+    return np.maximum(raw.reshape(payload.shape), RGB_FLOOR)
 
 
 def scipy_gaussian_smooth(img, sigma):

@@ -252,6 +252,22 @@ def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["align", "groundtruth"])
+def test_misspelt_config_key_is_a_config_error(mini_pair, tmp_path, capsys,
+                                              command):
+    cfg = tmp_path / "align.cfg"
+    cfg.write_text((mini_pair.root / "scene.cfg").read_text()
+                   + "smooth_sigm=1.5\n")
+    code = main([command, str(mini_pair.ref), str(mini_pair.obs),
+                 str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unknown config key 'smooth_sigm'" in err
+    assert "did you mean 'smooth_sigma'?" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_align_ignores_the_removed_sync_keys(mini_pair, tmp_path):
     # the sync model has no beta or sigma_y; a config that sets them,
     # even to values once rejected, still loads and aligns exactly as

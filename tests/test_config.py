@@ -1,7 +1,8 @@
 import pytest
 
-from roadalign.config import PipelineConfig, read_key_values
+from roadalign.config import SCENE_KEYS, PipelineConfig, read_key_values
 from roadalign.errors import ConfigError
+from roadalign.synth import PRESETS, _scene_cfg_text
 
 
 def _write(tmp_path, text):
@@ -69,10 +70,39 @@ def test_band_switches_off(tmp_path):
     assert cfg.band == 30
 
 
-def test_unknown_keys_are_tolerated(tmp_path):
-    p = _write(tmp_path, "theta=0.7\nfocal_px=150\nseed=7\ntrack=0,0;0,12\n")
+def test_scene_keys_load_and_set_nothing(tmp_path):
+    p = _write(tmp_path, "theta=0.7\nfocal_px=150\nseed=7\ntrack=0,0;0,12\n"
+                         "ref.frames=40\nbeta=3\nsigma_y=0.1\n")
+    assert PipelineConfig.load(p) == PipelineConfig(theta=0.7, focal_px=150.0)
+
+
+@pytest.mark.parametrize("line,key,hint", [
+    ("smooth_sigm=1.5", "smooth_sigm", "smooth_sigma"),
+    ("pyramid_level=1", "pyramid_level", "pyramid_levels"),
+    ("bnad=3", "bnad", "band"),
+    ("colour=red", "colour", None),
+])
+def test_unknown_key_is_a_config_error(tmp_path, line, key, hint):
+    p = _write(tmp_path, f"theta=0.7\nfocal_px=150\n{line}\n")
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'") as exc:
+        PipelineConfig.load(p)
+    if hint:
+        assert f"did you mean '{hint}'?" in str(exc.value)
+    else:
+        assert "did you mean" not in str(exc.value)
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        PipelineConfig.load(overrides={"theta": "0.7", "focal_px": "150",
+                                       key: line.split("=")[1]})
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_key_scene_cfg_writes_loads(tmp_path, name):
+    scene, ride_ref, ride_obs = PRESETS[name]()
+    text = _scene_cfg_text(scene, ride_ref, ride_obs)
+    p = _write(tmp_path, text)
+    assert set(SCENE_KEYS) <= set(read_key_values(p))
     cfg = PipelineConfig.load(p)
-    assert cfg.theta == 0.7
+    assert cfg.theta == pytest.approx(scene.theta)
 
 
 def test_generated_scene_cfg_is_loadable(mini_pair):

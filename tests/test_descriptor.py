@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from helpers import (naive_similarity, observation_likelihood, similarity,
-                     textured_image)
+                     smoothed_grid, textured_image)
 
 from roadalign.descriptor import (GRADIENT_FLOOR_RATIO, Descriptor,
                                   DescriptorBank, DescriptorParams,
                                   compute_descriptor, similarity_to_bank)
+from roadalign.imagecore import gradient, smooth_and_average
 from roadalign.temporal import SyncConfig, build_likelihood_table
 
 
@@ -21,6 +22,8 @@ def test_params_validation():
         DescriptorParams(smooth_sigma=0.0)
     with pytest.raises(ValueError):
         DescriptorParams(downsample_factor=0)
+    with pytest.raises(ValueError, match="positive integer"):
+        DescriptorParams(downsample_factor=2.5)
 
 
 def test_from_gradients_normalizes():
@@ -45,6 +48,52 @@ def test_compute_descriptor_unit_norm_and_floor():
     nonzero = mag[mag > 0]
     # every surviving cell clears the floor relative to the strongest cell
     assert nonzero.min() >= GRADIENT_FLOOR_RATIO * mag.max() - 1e-12
+
+
+def _floored_descriptor(small):
+    """Gradients of a downsampled frame, floored and normalized."""
+    dx, dy = gradient(small)
+    mag = np.hypot(dx, dy)
+    weak = mag < GRADIENT_FLOOR_RATIO * mag.max()
+    dx[weak] = 0.0
+    dy[weak] = 0.0
+    return Descriptor.from_gradients(dx, dy)
+
+
+@pytest.mark.parametrize("shape", [(61, 83), (60, 80), (120, 160)])
+@pytest.mark.parametrize("factor", [1, 8, 16])
+@pytest.mark.parametrize("sigma", [1.5, 2.0])
+def test_operator_matches_smoothing_then_block_means(shape, factor, sigma):
+    img = textured_image(sum(shape) + factor, shape)
+    rows = smooth_and_average(shape[0], sigma, factor)
+    cols = smooth_and_average(shape[1], sigma, factor)
+    want = smoothed_grid(img, sigma, factor)
+    assert rows.shape == (want.shape[0], shape[0])
+    assert cols.shape == (want.shape[1], shape[1])
+    assert np.allclose(rows @ img @ cols.T, want, rtol=0, atol=1e-12)
+    got = compute_descriptor(img, DescriptorParams(sigma, factor))
+    oracle = _floored_descriptor(want)
+    assert np.allclose(got.dx, oracle.dx, rtol=0, atol=1e-12)
+    assert np.allclose(got.dy, oracle.dy, rtol=0, atol=1e-12)
+
+
+def test_operator_is_cached_and_read_only():
+    op = smooth_and_average(60, 2.0, 8)
+    assert smooth_and_average(60, 2.0, 8) is op
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+
+
+def test_flat_and_row_constant_frames():
+    params = DescriptorParams(1.5, 8)
+    assert compute_descriptor(np.full((60, 80), 0.37), params).is_zero
+    # every row constant: the gradient along the rows is rounding alone.
+    # Not exactly zero: the border rows of the column operator hold other
+    # weights than the inner ones, so their products round differently.
+    ramp = np.repeat(np.linspace(0.1, 0.9, 60)[:, None] ** 2, 80, axis=1)
+    d = compute_descriptor(ramp, params)
+    assert np.abs(d.dx).max() < 1e-15
+    assert np.sum(d.dy ** 2) == pytest.approx(1.0)
 
 
 def test_compute_descriptor_rejects_tiny_images():

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import naive_downsample, scipy_gaussian_smooth, textured_image
+from helpers import (float_load_image, naive_downsample,
+                     scipy_gaussian_smooth, textured_image)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,8 @@ def test_truncated_payload(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(9))
     with pytest.raises(TruncatedPayloadError):
         load_image(p)
+    with pytest.raises(TruncatedPayloadError):
+        load_mask(p)
 
 
 def test_header_must_end_with_whitespace(tmp_path):
@@ -162,6 +165,28 @@ def test_mask_round_trip(tmp_path):
     mask = rng.random((11, 13)) > 0.4
     save_mask(mask, tmp_path / "m.pgm")
     assert np.array_equal(load_mask(tmp_path / "m.pgm"), mask)
+
+
+def test_mask_is_the_image_above_one_half(tmp_path):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    mask = load_mask(p)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, load_image(p) > 0.5)
+    assert mask.sum() == 128
+
+
+@pytest.mark.parametrize("magic,channels", [(b"P5", 1), (b"P6", 3)])
+def test_load_image_is_the_float_formula_bit_for_bit(tmp_path, magic,
+                                                    channels):
+    # every byte value in every channel
+    p = tmp_path / "a.pnm"
+    p.write_bytes(magic + b"\n16 16\n255\n" + bytes(range(256)) * channels)
+    got = load_image(p)
+    want = float_load_image(p)
+    assert got.dtype == np.float64 and got.flags.writeable
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mask_rejects_color(tmp_path):
