@@ -139,7 +139,7 @@ def warp_nearest(mask, wx, wy, wz, f, cx, cy):
 
 
 def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
-    """Gauss-Newton terms (hess, grad, sse, count) of warped against obs.
+    """Gauss-Newton terms (hess, grad, count) of warped against obs.
 
     `warped` and `valid` are a `warp_bilinear` result, so that the step
     that accepted a warp reuses it. The per-pixel terms are computed in
@@ -177,7 +177,7 @@ def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
     hess[1, 2] = hess[2, 1] = (jy * jz).sum()
     hess[2, 2] = (jz * jz).sum()
     grad = np.array([(jx * r).sum(), (jy * r).sum(), (jz * r).sum()])
-    return hess, grad, float((r * r).sum()), int(ok.sum())
+    return hess, grad, int(ok.sum())
 
 
 def masked_sse(warped, valid, obs, skip):

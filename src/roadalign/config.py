@@ -5,7 +5,7 @@ import types
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .descriptor import GRADIENT_FLOOR_RATIO, MAX_SHIFT, DescriptorParams
+from .descriptor import GRADIENT_FLOOR_RATIO, MAX_SHIFT
 from .errors import ConfigError
 from .invariant import InvariantDirection
 from .spatial import MAX_ITERATIONS, ROBUST_SKIP, CameraIntrinsics
@@ -103,13 +103,17 @@ class PipelineConfig:
             raise ConfigError("window must be at least max(lag, 1)")
         if self.band is not None and self.band < 1:
             raise ConfigError("band must be at least 1 frame")
+        if not self.smooth_sigma > 0:
+            raise ConfigError("smooth_sigma must be positive")
+        if self.downsample_factor < 1 or \
+                int(self.downsample_factor) != self.downsample_factor:
+            raise ConfigError("downsample_factor must be a positive integer")
         if self.pyramid_levels < 1:
             raise ConfigError("pyramid_levels must be at least 1")
-        # the stage settings check their own values; build them once here
-        # so that a bad value fails before any frame is read
+        # the invariant direction checks theta; build it once here so
+        # that a bad value fails before any frame is read
         try:
             InvariantDirection(self.theta)
-            self.descriptor_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -159,9 +163,6 @@ class PipelineConfig:
                 raise ConfigError(f"config key {key!r} is no longer settable: "
                                   f"it may only be {fixed}, got {text}")
         return cfg
-
-    def descriptor_params(self):
-        return DescriptorParams(self.smooth_sigma, self.downsample_factor)
 
     def sync_config(self):
         return SyncConfig(

@@ -24,19 +24,6 @@ MAX_SHIFT = 2
 
 
 @dataclass(frozen=True)
-class DescriptorParams:
-    smooth_sigma: float = 2.0
-    downsample_factor: int = 16
-
-    def __post_init__(self):
-        if not self.smooth_sigma > 0:
-            raise ValueError("smooth_sigma must be positive")
-        if self.downsample_factor < 1 or \
-                int(self.downsample_factor) != self.downsample_factor:
-            raise ValueError("downsample_factor must be a positive integer")
-
-
-@dataclass(frozen=True)
 class Descriptor:
     """Unit-norm stacked gradient grids (dx, dy) at descriptor resolution."""
 
@@ -67,20 +54,21 @@ class Descriptor:
         return cls(dx.copy(), dy.copy())
 
 
-def compute_descriptor(img, params=DescriptorParams()):
+def compute_descriptor(img, smooth_sigma, downsample_factor):
     """Descriptor of a grayscale frame.
 
-    Smooth, block-mean downsample, take gradients, zero every cell whose
-    magnitude falls below GRADIENT_FLOOR_RATIO of the maximum, then
-    normalize. The downsampled frame must be at least 2x2.
+    Smooth (Gaussian, `smooth_sigma`), take means of blocks of
+    `downsample_factor` x `downsample_factor` pixels, take gradients,
+    zero every cell whose magnitude falls below GRADIENT_FLOOR_RATIO of
+    the maximum, then normalize. The downsampled frame must be at least
+    2x2.
 
     Smoothing and downsampling are both linear, so they are one
     `smooth_and_average` operator per axis, applied to the frame less its
     first pixel: no gradient changes, and a flat frame gives exact zeros.
     """
     img = np.asarray(img, dtype=np.float64)
-    rows, cols = (smooth_and_average(n, params.smooth_sigma,
-                                     params.downsample_factor)
+    rows, cols = (smooth_and_average(n, smooth_sigma, downsample_factor)
                   for n in img.shape)
     small = rows @ (img - img.flat[0]) @ cols.T
     if small.shape[0] < 2 or small.shape[1] < 2:

@@ -5,11 +5,16 @@ with values in [0, 1], color frames are float64 ``(h, w, 3)`` grids, and
 masks are boolean ``(h, w)`` grids where True marks road. A pyramid is a
 list of grayscale arrays, finest level first.
 
-Gaussian smoothing is a numpy line filter run down the columns and then
-along the rows: each line is edge-replicated by the kernel radius r, and
-an output sample is x[i] k[r] plus (x[i - j] + x[i + j]) k[r - j] added
-for j = r down to 1. That is the order in which scipy.ndimage sums an odd
-symmetric kernel, so both give the same bits.
+Every smoothing of a frame is followed by block means, and both are
+linear, so the pair is one `smooth_and_average` operator per axis: a
+small matrix that multiplies the frame from the left (rows) and from the
+right (columns). The descriptor and each pyramid level are made that
+way. An operator is built once per axis length, sigma and block size,
+by a numpy line filter run on the identity: each line is edge-replicated
+by the kernel radius r, and an output sample is x[i] k[r] plus
+(x[i - j] + x[i + j]) k[r - j] added for j = r down to 1. That is the
+order in which scipy.ndimage sums an odd symmetric kernel, so both give
+the same bits.
 """
 
 import functools
@@ -34,6 +39,10 @@ MIN_PYRAMID_SIDE = 16
 _WHITESPACE = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
 
 
+class _HeaderCutShort(MalformedHeaderError):
+    """The data ends inside the NetPBM header."""
+
+
 def _parse_pnm_header(data):
     """Return (magic, width, height, maxval, payload_offset).
 
@@ -53,12 +62,14 @@ def _parse_pnm_header(data):
                 i += 1
             continue
         if i >= n:
-            raise MalformedHeaderError("incomplete NetPBM header")
+            raise _HeaderCutShort("incomplete NetPBM header")
         start = i
         while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
             i += 1
         tokens.append(data[start:i])
-    if i >= n or data[i] not in _WHITESPACE:
+    if i >= n:
+        raise _HeaderCutShort("missing whitespace after maxval")
+    if data[i] not in _WHITESPACE:
         raise MalformedHeaderError("missing whitespace after maxval")
     magic = tokens[0].decode("ascii", errors="replace")
     if magic not in ("P5", "P6"):
@@ -95,16 +106,17 @@ def read_image_shape(path):
     for a color P6 file. Only the header is read; the file's size shows
     whether the payload is complete (TruncatedPayloadError if not).
     """
-    data = b""
+    data = bytearray()
     with open(path, "rb") as fh:
         while True:
-            chunk = fh.read(1024)
+            # doubling reads keep a long header (comments) linear in time
+            chunk = fh.read(max(len(data), 1024))
             data += chunk
             try:
                 magic, width, height, _, offset = _parse_pnm_header(data)
                 break
-            except MalformedHeaderError:
-                if not chunk:  # the header is malformed, not just unread
+            except _HeaderCutShort:
+                if not chunk:  # the file ends inside its header
                     raise
         size = os.fstat(fh.fileno()).st_size
     return _check_payload(path, magic, width, height, offset, size)
@@ -188,74 +200,43 @@ def gaussian_kernel(sigma):
     return kernel / kernel.sum()
 
 
-def gaussian_smooth(img, sigma):
-    """Separable Gaussian smoothing with edge replication.
+def _filter_lines(arr, kernel):
+    """Correlate every column of `arr` with a symmetric kernel.
 
-    Output has the same dimensions as the input. Smoothing a constant
-    image returns it unchanged.
-    """
-    arr = np.asarray(img, dtype=np.float64)
-    kernel = gaussian_kernel(sigma)
-    return _filter_lines(_filter_lines(arr, kernel, 0), kernel, 1)
-
-
-def _filter_lines(arr, kernel, axis):
-    """Correlate every line of `arr` along `axis` with a symmetric kernel.
-
-    Each line is extended by the kernel radius at both ends with copies
-    of its end samples, which also serves lines shorter than the radius.
-    The result is C-contiguous, as scipy's is, so that later reductions
-    over it add in the same order.
+    Each column is extended by the kernel radius at both ends with
+    copies of its end samples, which also serves columns shorter than
+    the radius.
     """
     r = len(kernel) // 2
-    lines = arr.swapaxes(0, axis)
-    n = len(lines)
-    padded = np.empty((n + 2 * r,) + lines.shape[1:])
-    padded[r:r + n] = lines
-    padded[:r] = lines[0]
-    padded[r + n:] = lines[-1]
+    n = len(arr)
+    padded = np.empty((n + 2 * r,) + arr.shape[1:])
+    padded[r:r + n] = arr
+    padded[:r] = arr[0]
+    padded[r + n:] = arr[-1]
     out = padded[r:r + n] * kernel[r]
     pair = np.empty_like(out)
     for j in range(r, 0, -1):
         np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
         pair *= kernel[r - j]
         out += pair
-    return np.ascontiguousarray(out.swapaxes(0, axis))
-
-
-def downsample(img, factor):
-    """Block-mean downsampling; partial border blocks average what exists.
-
-    Output dimensions are ceil(h / factor) x ceil(w / factor).
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError("factor must be a positive integer")
-    factor = int(factor)
-    arr = np.asarray(img, dtype=np.float64)
-    if factor == 1:
-        return arr.copy()
-    h, w = arr.shape
-    ri = np.arange(0, h, factor)
-    ci = np.arange(0, w, factor)
-    sums = np.add.reduceat(np.add.reduceat(arr, ri, axis=0), ci, axis=1)
-    rcount = np.minimum(ri + factor, h) - ri
-    ccount = np.minimum(ci + factor, w) - ci
-    return sums / np.outer(rcount, ccount)
+    return out
 
 
 @functools.lru_cache(maxsize=16)
 def smooth_and_average(n, sigma, factor):
-    """(ceil(n / factor), n) operator of `downsample(gaussian_smooth(.))`
-    along one axis of n samples.
+    """(ceil(n / factor), n) operator that smooths a line of n samples
+    and then takes block means of the result.
 
-    Row i smooths a line as `gaussian_smooth` does and averages block i
-    of `factor` samples of the result, a partial last block over what it
-    holds, as `downsample` does. So for an h x w frame,
+    Row i is the weights by which a line, Gaussian smoothed (`sigma`,
+    ends replicated), averages into block i of `factor` samples; a
+    partial last block averages what it holds. So for an h x w frame,
     R @ img @ C.T with R = smooth_and_average(h, ...) and
-    C = smooth_and_average(w, ...) is the smoothed, downsampled frame
-    up to rounding. Computed once per key and read-only.
+    C = smooth_and_average(w, ...) is the smoothed, block-averaged frame
+    up to rounding. The rows are those of the line filter run on the
+    identity, which fixes their bits. Computed once per key and
+    read-only.
     """
-    smoothed = _filter_lines(np.eye(n), gaussian_kernel(sigma), 0)
+    smoothed = _filter_lines(np.eye(n), gaussian_kernel(sigma))
     starts = np.arange(0, n, factor)
     counts = np.minimum(starts + factor, n) - starts
     op = np.add.reduceat(smoothed, starts, axis=0) / counts[:, None]
@@ -296,13 +277,19 @@ def pyramid_depth(shape, levels):
 def build_pyramid(img, levels):
     """Coarse-to-fine pyramid: smooth (sigma 1) then halve, per level.
 
-    Levels whose dimensions would drop below 16x16 are not built, so
-    the pyramid holds `pyramid_depth(img.shape, levels)` levels; a
-    shorter pyramid than requested is not reported here.
+    Each level is the one before it through `smooth_and_average(side,
+    1.0, 2)` along both axes. The operators act on the level less its
+    first pixel, added back after, so that a flat frame's levels are
+    exactly flat. Levels whose dimensions would drop below 16x16 are not
+    built, so the pyramid holds `pyramid_depth(img.shape, levels)`
+    levels; a shorter pyramid than requested is not reported here.
     """
     arr = np.asarray(img, dtype=np.float64)
     depth = pyramid_depth(arr.shape, levels)
     pyramid = [arr]
     while len(pyramid) < depth:
-        pyramid.append(downsample(gaussian_smooth(pyramid[-1], 1.0), 2))
+        x = pyramid[-1]
+        rows, cols = (smooth_and_average(n, 1.0, 2) for n in x.shape)
+        c = x.flat[0]
+        pyramid.append(rows @ (x - c) @ cols.T + c)
     return pyramid

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .descriptor import DescriptorBank, DescriptorParams, compute_descriptor
+from .descriptor import DescriptorBank, compute_descriptor
 from .errors import AlignmentError, DataError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
                        metrics)
@@ -122,7 +122,6 @@ def load_reference(ref_dir, cfg):
     Each frame's mask is the mask file of its frame number.
     """
     direction = InvariantDirection(cfg.theta)
-    params = cfg.descriptor_params()
     mask_paths = dict(_list_indexed(ref_dir, _MASK_RE, "mask", required=False))
     feature, masks = [], []
     for index, path in list_frames(ref_dir):
@@ -137,7 +136,9 @@ def load_reference(ref_dir, cfg):
                             f"{image.shape[1]}x{image.shape[0]}")
         feature.append(image)
         masks.append(mask)
-    bank = DescriptorBank([compute_descriptor(f, params) for f in feature])
+    bank = DescriptorBank([compute_descriptor(f, cfg.smooth_sigma,
+                                              cfg.downsample_factor)
+                           for f in feature])
     return ReferenceRide(feature, masks, bank)
 
 
@@ -162,7 +163,6 @@ class _Run:
     ref: ReferenceRide
     out: Path
     direction: InvariantDirection
-    params: DescriptorParams
     shape: tuple  # (rows, columns) of every frame
     intrinsics: CameraIntrinsics
     levels: int  # pyramid levels lk_align may build, at most
@@ -190,8 +190,7 @@ def _open_run(ref_dir, obs_dir, out_dir, cfg, refine):
                        levels, cfg.pyramid_levels, shape[1], shape[0])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return indexed, _Run(ref, out, InvariantDirection(cfg.theta),
-                         cfg.descriptor_params(), shape,
+    return indexed, _Run(ref, out, InvariantDirection(cfg.theta), shape,
                          cfg.intrinsics(shape[1], shape[0]),
                          cfg.pyramid_levels, refine)
 
@@ -258,7 +257,8 @@ def run_align(ref_dir, obs_dir, out_dir, cfg, refine=True, on_emit=None):
     for t, path in indexed:
         image = _load_frame(path, cfg, run.direction, run.shape)
         pending.append((t, image))
-        emission = sync.push(compute_descriptor(image, run.params))
+        emission = sync.push(compute_descriptor(image, cfg.smooth_sigma,
+                                                cfg.downsample_factor))
         if emission is not None:
             if on_emit is not None:
                 on_emit(t, emission)
@@ -281,7 +281,8 @@ def run_groundtruth(ref_dir, obs_dir, out_dir, cfg, refine=True):
     images = [_load_frame(path, cfg, run.direction, run.shape)
               for _, path in indexed]
 
-    descs = [compute_descriptor(image, run.params) for image in images]
+    descs = [compute_descriptor(image, cfg.smooth_sigma,
+                                cfg.downsample_factor) for image in images]
     # no center: the whole row is scored, whatever the band
     table = build_likelihood_table(descs, run.ref.bank, cfg.sync_config())
     labels = map_sequence(table)

@@ -158,7 +158,7 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
             raise AlignmentError("too few valid pixels for alignment")
         for _ in range(MAX_ITERATIONS):
             # the warp at omega is the one that accepted omega
-            hess, grad, _, n_acc = _kernels.lk_accumulate(
+            hess, grad, n_acc = _kernels.lk_accumulate(
                 warped, valid, o_img, f, cx, cy, ROBUST_SKIP)
             if n_acc < MIN_PIXELS:
                 raise AlignmentError("too few valid pixels for alignment")

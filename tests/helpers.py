@@ -17,8 +17,7 @@ from scipy import ndimage
 from roadalign import _kernels
 from roadalign.descriptor import similarity_to_bank
 from roadalign.errors import SyncLossError
-from roadalign.imagecore import (RGB_FLOOR, _read_pnm, downsample,
-                                 gaussian_kernel, gaussian_smooth)
+from roadalign.imagecore import RGB_FLOOR, _read_pnm, gaussian_kernel
 from roadalign.spatial import warp_image
 from roadalign.temporal import SyncEmission
 
@@ -26,7 +25,7 @@ from roadalign.temporal import SyncEmission
 def textured_image(seed, shape=(120, 160)):
     """Smooth random field rescaled to [0, 1]; rich gradient signal."""
     rng = np.random.default_rng(seed)
-    img = gaussian_smooth(rng.random(shape), 3.0)
+    img = scipy_gaussian_smooth(rng.random(shape), 3.0)
     return (img - img.min()) / (img.max() - img.min())
 
 
@@ -221,7 +220,6 @@ def loop_lk_terms(warped, valid, obs, f, cx, cy, skip):
     h, w = warped.shape
     hess = np.zeros((3, 3))
     grad = np.zeros(3)
-    sse = 0.0
     count = 0
     for yy in range(skip, h - skip):
         for xx in range(skip, w - skip):
@@ -266,12 +264,11 @@ def loop_lk_terms(warped, valid, obs, f, cx, cy, skip):
             grad[0] += jx * r
             grad[1] += jy * r
             grad[2] += jz * r
-            sse += r * r
             count += 1
     hess[1, 0] = hess[0, 1]
     hess[2, 0] = hess[0, 2]
     hess[2, 1] = hess[1, 2]
-    return hess, grad, sse, count
+    return hess, grad, count
 
 
 def motion_field(x, y, omega, intrinsics):
@@ -309,7 +306,7 @@ def ssd_gradient(reference_frame, observed_frame, omega, intrinsics,
     `ssd_objective` whenever the whole skip region warps validly.
     """
     warped, valid = warp_image(reference_frame, omega, intrinsics)
-    _, grad, _, _ = _kernels.lk_accumulate(
+    _, grad, _ = _kernels.lk_accumulate(
         warped, valid, observed_frame,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
     )
@@ -436,7 +433,7 @@ def naive_downsample(img, factor):
 def smoothed_grid(img, sigma, factor):
     """The descriptor's smoothed and block-averaged frame, computed the
     direct way: smooth the whole frame, then take block means."""
-    return downsample(gaussian_smooth(img, sigma), factor)
+    return naive_downsample(scipy_gaussian_smooth(img, sigma), factor)
 
 
 def float_load_image(path):

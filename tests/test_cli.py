@@ -239,6 +239,8 @@ def test_align_checks_every_frame_size_before_writing(mini_pair, tmp_path,
     ([], "mu_y=0.9\n"),
     ([], "max_shift=abc\n"),
     ([], "# caf\xe9, not UTF-8\n"),
+    ([], "smooth_sigma=0\n"),
+    ([], "downsample_factor=-2\n"),
 ])
 def test_align_bad_config_value_is_a_config_error(mini_pair, tmp_path, capsys,
                                                    extra, config_line):

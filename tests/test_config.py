@@ -126,6 +126,7 @@ def test_bad_values_raise_config_error(tmp_path):
     ("band=abc", "band"),
     ("window=0", "window"),
     ("downsample_factor=0", "downsample_factor"),
+    ("smooth_sigma=0", "smooth_sigma"),
     ("pyramid_levels=0", "pyramid_levels"),
     ("min_blob_px=-1", "min_blob_px"),
     ("theta=nan", "theta"),
@@ -183,12 +184,20 @@ def test_validation_errors():
         PipelineConfig(theta=0.7, focal_px=100.0, feature_space="rgb")
 
 
+def test_descriptor_settings_validation():
+    with pytest.raises(ConfigError, match="smooth_sigma must be positive"):
+        PipelineConfig(theta=0.7, focal_px=100.0, smooth_sigma=0.0)
+    with pytest.raises(ConfigError, match="smooth_sigma must be positive"):
+        PipelineConfig(theta=0.7, focal_px=100.0, smooth_sigma=-1.0)
+    with pytest.raises(ConfigError, match="positive integer"):
+        PipelineConfig(theta=0.7, focal_px=100.0, downsample_factor=0)
+    with pytest.raises(ConfigError, match="positive integer"):
+        PipelineConfig(theta=0.7, focal_px=100.0, downsample_factor=2.5)
+
+
 def test_factories_propagate_values():
     cfg = PipelineConfig(theta=0.7, focal_px=150.0, lag=3, window=7,
-                         band=20, smooth_sigma=1.5, downsample_factor=8)
-    params = cfg.descriptor_params()
-    assert params.smooth_sigma == 1.5
-    assert params.downsample_factor == 8
+                         band=20)
     sync = cfg.sync_config()
     assert sync.lag_l == 3
     assert sync.window_L == 7

@@ -4,8 +4,8 @@ from helpers import (naive_similarity, observation_likelihood, similarity,
                      smoothed_grid, textured_image)
 
 from roadalign.descriptor import (GRADIENT_FLOOR_RATIO, Descriptor,
-                                  DescriptorBank, DescriptorParams,
-                                  compute_descriptor, similarity_to_bank)
+                                  DescriptorBank, compute_descriptor,
+                                  similarity_to_bank)
 from roadalign.imagecore import gradient, smooth_and_average
 from roadalign.temporal import SyncConfig, build_likelihood_table
 
@@ -15,15 +15,6 @@ def _random_descriptor(rng, shape=(5, 7), zero=False):
         return Descriptor.from_gradients(np.zeros(shape), np.zeros(shape))
     return Descriptor.from_gradients(rng.standard_normal(shape),
                                      rng.standard_normal(shape))
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        DescriptorParams(smooth_sigma=0.0)
-    with pytest.raises(ValueError):
-        DescriptorParams(downsample_factor=0)
-    with pytest.raises(ValueError, match="positive integer"):
-        DescriptorParams(downsample_factor=2.5)
 
 
 def test_from_gradients_normalizes():
@@ -40,7 +31,7 @@ def test_compute_descriptor_unit_norm_and_floor():
     img = textured_image(1)
     # the left half keeps 2% of its contrast, below the floor
     img[:, :80] = 0.5 + 0.02 * (img[:, :80] - 0.5)
-    d = compute_descriptor(img, DescriptorParams(downsample_factor=16))
+    d = compute_descriptor(img, 2.0, 16)
     assert d.shape == (120 // 16 + 1, 160 // 16)
     assert (d.dx ** 2).sum() + (d.dy ** 2).sum() == pytest.approx(1.0)
     mag = np.hypot(d.dx, d.dy)
@@ -71,7 +62,7 @@ def test_operator_matches_smoothing_then_block_means(shape, factor, sigma):
     assert rows.shape == (want.shape[0], shape[0])
     assert cols.shape == (want.shape[1], shape[1])
     assert np.allclose(rows @ img @ cols.T, want, rtol=0, atol=1e-12)
-    got = compute_descriptor(img, DescriptorParams(sigma, factor))
+    got = compute_descriptor(img, sigma, factor)
     oracle = _floored_descriptor(want)
     assert np.allclose(got.dx, oracle.dx, rtol=0, atol=1e-12)
     assert np.allclose(got.dy, oracle.dy, rtol=0, atol=1e-12)
@@ -85,20 +76,19 @@ def test_operator_is_cached_and_read_only():
 
 
 def test_flat_and_row_constant_frames():
-    params = DescriptorParams(1.5, 8)
-    assert compute_descriptor(np.full((60, 80), 0.37), params).is_zero
+    assert compute_descriptor(np.full((60, 80), 0.37), 1.5, 8).is_zero
     # every row constant: the gradient along the rows is rounding alone.
     # Not exactly zero: the border rows of the column operator hold other
     # weights than the inner ones, so their products round differently.
     ramp = np.repeat(np.linspace(0.1, 0.9, 60)[:, None] ** 2, 80, axis=1)
-    d = compute_descriptor(ramp, params)
+    d = compute_descriptor(ramp, 1.5, 8)
     assert np.abs(d.dx).max() < 1e-15
     assert np.sum(d.dy ** 2) == pytest.approx(1.0)
 
 
 def test_compute_descriptor_rejects_tiny_images():
     with pytest.raises(ValueError, match="image too small"):
-        compute_descriptor(np.zeros((16, 40)), DescriptorParams(downsample_factor=16))
+        compute_descriptor(np.zeros((16, 40)), 2.0, 16)
 
 
 def test_similarity_matches_naive_enumeration():
@@ -125,8 +115,7 @@ def test_similarity_basic_properties():
 
 def test_similarity_recovers_integer_shifts():
     img = textured_image(2, (160, 200))
-    params = DescriptorParams(downsample_factor=8)
-    base = compute_descriptor(img, params)
+    base = compute_descriptor(img, 2.0, 8)
     shifted = Descriptor.from_gradients(np.roll(base.dx, (1, 2), axis=(0, 1)),
                                         np.roll(base.dy, (1, 2), axis=(0, 1)))
     assert similarity(base, shifted, 2) > 0.93

@@ -6,14 +6,16 @@ from helpers import (float_load_image, naive_downsample,
                      scipy_gaussian_smooth, textured_image)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from roadalign.errors import (ImageFormatError, MalformedHeaderError,
                               TruncatedPayloadError, UnsupportedMaxvalError)
+from roadalign import imagecore
 from roadalign.imagecore import (RGB_FLOOR, _parse_pnm_header, build_pyramid,
-                                 downsample, gaussian_kernel, gaussian_smooth,
-                                 gradient, load_image, load_mask,
-                                 read_image_shape, rgb_to_gray, save_image_rgb,
-                                 save_mask)
+                                 gaussian_kernel, gradient, load_image,
+                                 load_mask, pyramid_depth, read_image_shape,
+                                 rgb_to_gray, save_image_rgb, save_mask,
+                                 smooth_and_average)
 
 
 def test_load_gray_maps_by_255(tmp_path):
@@ -44,8 +46,8 @@ def test_header_comments_tolerated(tmp_path):
 
 def test_read_image_size_reads_the_header_only(tmp_path):
     p = tmp_path / "a.ppm"
-    # a comment longer than one read
-    header = b"P6\n# " + b"x" * 2000 + b"\n640 480\n255\n"
+    # a comment longer than several reads
+    header = b"P6\n# " + b"x" * 100_000 + b"\n640 480\n255\n"
     p.write_bytes(header + bytes(640 * 480 * 3))
     assert read_image_shape(p) == (480, 640, 3)
     # a payload one byte short, or missing, fails as load_image does
@@ -241,9 +243,17 @@ def test_gaussian_kernel_shape_and_weights():
         gaussian_kernel(0.0)
 
 
+def _smooth(img, sigma, factor=1):
+    """`img` through the smooth-and-average operator of each axis."""
+    rows = smooth_and_average(img.shape[0], sigma, factor)
+    cols = smooth_and_average(img.shape[1], sigma, factor)
+    return rows @ img @ cols.T
+
+
 def test_gaussian_smooth_preserves_constants():
     img = np.full((10, 12), 0.37)
-    assert np.allclose(gaussian_smooth(img, 2.0), 0.37)
+    assert np.allclose(_smooth(img, 2.0), 0.37)
+    assert np.allclose(smooth_and_average(12, 2.0, 1).sum(axis=1), 1.0)
 
 
 def test_gaussian_smooth_matches_direct_convolution():
@@ -254,7 +264,7 @@ def test_gaussian_smooth_matches_direct_convolution():
     r = len(k) // 2
     padded = np.concatenate([np.full(r, row[0]), row, np.full(r, row[-1])])
     expected = np.array([(padded[i:i + len(k)] * k).sum() for i in range(9)])
-    got = gaussian_smooth(row.reshape(1, -1), sigma)[0]
+    got = _smooth(row.reshape(1, -1), sigma)[0]
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -262,33 +272,23 @@ def test_gaussian_smooth_matches_direct_convolution():
 @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (1, 1), (2, 3), (5, 40),
                                    (40, 5), (60, 80), (120, 160), (7, 11, 3)])
 def test_gaussian_smooth_equals_scipy_bit_for_bit(shape, sigma):
-    img = np.random.default_rng(sum(shape)).random(shape)
-    got = gaussian_smooth(img, sigma)
-    assert np.array_equal(got, scipy_gaussian_smooth(img, sigma))
-    assert got.flags.c_contiguous
+    # at factor 1 the operator of each axis is the smoothing matrix:
+    # column j is a unit impulse at j smoothed by scipy, to the bit,
+    # lines shorter than the kernel radius included
+    for n in shape[:2]:
+        want = ndimage.convolve1d(np.eye(n), gaussian_kernel(sigma), axis=0,
+                                  mode="nearest")
+        assert np.array_equal(smooth_and_average(n, sigma, 1), want)
 
 
 @pytest.mark.parametrize("shape,factor", [((7, 10), 3), ((8, 8), 4),
                                           ((12, 5), 2), ((3, 3), 5)])
 def test_downsample_matches_naive(shape, factor):
+    # block means with partial border blocks, after smoothing
     rng = np.random.default_rng(hash(shape) % 1000)
     img = rng.random(shape)
-    assert np.allclose(downsample(img, factor), naive_downsample(img, factor),
-                       atol=1e-12)
-
-
-def test_downsample_factor_one_copies():
-    img = np.arange(12.0).reshape(3, 4)
-    out = downsample(img, 1)
-    assert np.array_equal(out, img)
-    assert out is not img
-
-
-def test_downsample_validates_factor():
-    with pytest.raises(ValueError):
-        downsample(np.zeros((4, 4)), 0)
-    with pytest.raises(ValueError):
-        downsample(np.zeros((4, 4)), 2.5)
+    want = naive_downsample(scipy_gaussian_smooth(img, 1.0), factor)
+    assert np.allclose(_smooth(img, 1.0, factor), want, rtol=0, atol=1e-12)
 
 
 def test_gradient_on_linear_ramp():
@@ -319,3 +319,61 @@ def test_build_pyramid_halves_until_min_side(caplog):
 def test_build_pyramid_ceil_dimensions():
     pyr = build_pyramid(np.zeros((33, 47)), 2)
     assert pyr[1].shape == (17, 24)
+
+
+def _pyramid_oracle(img, depth):
+    """Each level smoothed by scipy (sigma 1), then halved by block means."""
+    levels = [img]
+    while len(levels) < depth:
+        levels.append(naive_downsample(scipy_gaussian_smooth(levels[-1], 1.0),
+                                       2))
+    return levels
+
+
+@pytest.mark.parametrize("shape", [(33, 47), (61, 83), (120, 160)])
+def test_build_pyramid_matches_smoothing_then_block_means(shape):
+    img = textured_image(sum(shape), shape)
+    pyr = build_pyramid(img, 3)
+    want = _pyramid_oracle(img, pyramid_depth(shape, 3))
+    assert [p.shape for p in pyr] == [w.shape for w in want]
+    assert np.array_equal(pyr[0], img)
+    for got, oracle in zip(pyr[1:], want[1:]):
+        assert np.allclose(got, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(60, 80), (120, 160)])
+def test_build_pyramid_float32_levels_equal_the_oracle(shape):
+    # registration reads the levels as float32; the operator's rounding
+    # stays below float32's on textured frames
+    for seed in range(10):
+        img = textured_image(500 + seed, shape)
+        for got, want in zip(build_pyramid(img, 3), _pyramid_oracle(img, 3)):
+            assert np.array_equal(got.astype(np.float32),
+                                  want.astype(np.float32))
+
+
+def test_build_pyramid_keeps_a_flat_frame_exactly_flat():
+    for shape in [(33, 47), (120, 160)]:
+        for level in build_pyramid(np.full(shape, 0.37), 3):
+            assert np.all(level == 0.37)
+
+
+@pytest.mark.parametrize("header", [b"P7\n640 480\n255\n", b"P6 640 -480 255\n",
+                                    b"P6\n640 480\n65535\n"])
+def test_read_image_shape_stops_at_a_malformed_header(tmp_path, monkeypatch,
+                                                      header):
+    # a header that is wrong in the first read stays wrong however much
+    # more of the file is read; each read is parsed once
+    p = tmp_path / "frame_000000.ppm"
+    p.write_bytes(header + bytes(4 << 20))
+    parsed = []
+    parse = imagecore._parse_pnm_header
+
+    def counted(data):
+        parsed.append(len(data))
+        return parse(data)
+
+    monkeypatch.setattr(imagecore, "_parse_pnm_header", counted)
+    with pytest.raises(ImageFormatError):
+        read_image_shape(p)
+    assert len(parsed) <= 2 and parsed[-1] <= 2048

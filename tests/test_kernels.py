@@ -81,14 +81,12 @@ def test_lk_terms_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
-        h_np, g_np, s_np, n_np = kernels.lk_accumulate(warped, valid, obs,
-                                                       f, cx, cy, skip)
-        h_lp, g_lp, s_lp, n_lp = loop_lk_terms(warped, valid, obs,
-                                               f, cx, cy, skip)
+        h_np, g_np, n_np = kernels.lk_accumulate(warped, valid, obs,
+                                                 f, cx, cy, skip)
+        h_lp, g_lp, n_lp = loop_lk_terms(warped, valid, obs, f, cx, cy, skip)
         assert n_np == n_lp
         assert np.allclose(h_np, h_lp, rtol=1e-10, atol=1e-12)
         assert np.allclose(g_np, g_lp, rtol=1e-10, atol=1e-12)
-        assert s_np == pytest.approx(s_lp, rel=1e-10)
 
 
 @pytest.mark.parametrize("skip", [0, 2])
@@ -147,17 +145,15 @@ def test_float32_terms_agree_with_the_float64_oracles(skip):
                                               wx, wy, wz, f, cx, cy)
         # the oracles run in float64 on the same float32 values
         w64, o64 = warped.astype(np.float64), obs.astype(np.float64)
-        hess, grad, sse, n = kernels.lk_accumulate(warped, valid, obs,
-                                                   f, cx, cy, skip)
-        h_lp, g_lp, s_lp, n_lp = loop_lk_terms(w64, valid, o64,
-                                               f, cx, cy, skip)
+        hess, grad, n = kernels.lk_accumulate(warped, valid, obs,
+                                              f, cx, cy, skip)
+        h_lp, g_lp, n_lp = loop_lk_terms(w64, valid, o64, f, cx, cy, skip)
         assert n == n_lp
         assert grad.dtype == np.float32  # summed in float32
         assert np.allclose(hess, h_lp, rtol=0.0,
                            atol=TERM_RTOL * np.abs(h_lp).max())
         assert np.allclose(grad, g_lp, rtol=0.0,
                            atol=TERM_RTOL * np.abs(g_lp).max())
-        assert sse == pytest.approx(s_lp, rel=TERM_RTOL)
         s_np, n_np = kernels.masked_sse(warped, valid, obs, skip)
         s_lp, n_lp = loop_masked_sse(w64, valid, o64, skip)
         assert n_np == n_lp

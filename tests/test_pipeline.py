@@ -288,12 +288,12 @@ def test_sync_csv_score_is_the_frames_observation_term(run, mini_pair,
     assert len(rows) >= 14 - mini_cfg.lag
     assert (tmp_path / "out" / "sync.csv").read_text().splitlines()[1:] == \
         [r.csv_line() for r in rows]
-    params = mini_cfg.descriptor_params()
     direction = InvariantDirection(mini_cfg.theta)
 
     def descriptor(path):
         return compute_descriptor(convert_frame(
-            load_image(path), mini_cfg.feature_space, direction), params)
+            load_image(path), mini_cfg.feature_space, direction),
+            mini_cfg.smooth_sigma, mini_cfg.downsample_factor)
 
     ref = [descriptor(path) for _, path in list_frames(mini_pair.ref)]
     for r in rows:

@@ -118,8 +118,7 @@ def test_ssd_objective_and_gradient_stay_float64():
     assert n == n_lp
     assert sse == pytest.approx(s_lp, rel=1e-10)
     grad = ssd_gradient(ref, obs, omega, k)
-    _, g_lp, _, _ = loop_lk_terms(warped, valid, obs, k.focal_px, k.cx,
-                                  k.cy, 2)
+    _, g_lp, _ = loop_lk_terms(warped, valid, obs, k.focal_px, k.cx, k.cy, 2)
     assert grad.dtype == np.float64
     assert np.allclose(grad, 2.0 * g_lp, rtol=1e-10, atol=1e-12)
 

@@ -9,13 +9,13 @@ from helpers import (RebuildingSynchronizer, brute_force_map,
 
 from roadalign import temporal
 from roadalign.descriptor import (Descriptor, DescriptorBank,
-                                  DescriptorParams, compute_descriptor)
+                                  compute_descriptor)
 from roadalign.errors import SyncLossError
 from roadalign.temporal import (OnlineSynchronizer, SyncConfig,
                                 build_likelihood_table, fixed_lag_infer,
                                 map_sequence)
 
-PARAMS = DescriptorParams(smooth_sigma=1.5, downsample_factor=8)
+SMOOTH_SIGMA, DOWNSAMPLE_FACTOR = 1.5, 8
 
 
 def _frames(count, start=0, step=1, shape=(60, 80)):
@@ -24,7 +24,8 @@ def _frames(count, start=0, step=1, shape=(60, 80)):
 
 
 def _descriptors(frames):
-    return [compute_descriptor(f, PARAMS) for f in frames]
+    return [compute_descriptor(f, SMOOTH_SIGMA, DOWNSAMPLE_FACTOR)
+            for f in frames]
 
 
 def _bank(frames):
@@ -537,7 +538,8 @@ def test_cached_rows_match_rebuilt_tables_through_sync_losses(monkeypatch):
     frames = _frames(20)
     ref = _descriptors(frames)
     obs = ref[:16]
-    obs[7] = compute_descriptor(np.full((60, 80), 0.5), PARAMS)
+    obs[7] = compute_descriptor(np.full((60, 80), 0.5), SMOOTH_SIGMA,
+                                DOWNSAMPLE_FACTOR)
     cfg = SyncConfig(lag_l=2, window_L=4, candidate_band=3)
     cached, rebuilt, _ = _push_both(ref, obs, cfg, monkeypatch)
     assert cached == rebuilt
