@@ -7,35 +7,20 @@ scoring). Exit codes: 0 success, 1 usage, 2 bad data or config,
 """
 
 import argparse
-import dataclasses
 import logging
 import sys
-from pathlib import Path
 
-from .config import PipelineConfig, read_key_values
+from .config import PipelineConfig
 from .errors import (ConfigError, DataError, ImageFormatError, RoadAlignError,
                      UsageError)
 from .evaluate import MEASURES, format_aggregate
 from .pipeline import run_align, run_eval, run_groundtruth
-from .synth import PRESETS, make_pair
 
 logger = logging.getLogger(__name__)
 
-# frame counts are deliberately not overridable: preset rides carry
-# per-frame speed and jitter schedules sized to their scene
-_SCENE_KEYS = {
-    "seed": int,
-    "theta": float,
-    "focal_px": float,
-    "image_width": int,
-    "image_height": int,
-    "road_width": float,
-}
-_OBS_RIDE_KEYS = {
-    "model_violation": float,
-    "noise_sigma": float,
-    "gain": float,
-}
+# the names of synth.PRESETS, for the help text: importing synth is
+# left to the synth command
+PRESET_NAMES = ("mini", "street")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,34 +28,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_synth_spec(spec):
-    """Resolve a preset name, or a key=value file refining a preset."""
-    if spec in PRESETS:
-        return PRESETS[spec]()
-    path = Path(spec)
-    if not path.is_file():
-        raise DataError(f"unknown preset or missing spec file: {spec}")
-    raw = read_key_values(path)
-    name = raw.get("preset", "street")
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    scene, ride_ref, ride_obs = PRESETS[name]()
-    try:
-        scene_kw = {k: cast(raw[k]) for k, cast in _SCENE_KEYS.items()
-                    if k in raw}
-        ride_kw = {k: cast(raw[k]) for k, cast in _OBS_RIDE_KEYS.items()
-                   if k in raw}
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {spec}: {exc}") from exc
-    if scene_kw:
-        scene = dataclasses.replace(scene, **scene_kw)
-    if ride_kw:
-        ride_obs = dataclasses.replace(ride_obs, **ride_kw)
-    return scene, ride_ref, ride_obs
-
-
 def cmd_synth(args):
-    scene, ride_ref, ride_obs = _load_synth_spec(args.spec)
+    from .synth import load_spec, make_pair
+    scene, ride_ref, ride_obs = load_spec(args.spec)
     truth = make_pair(scene, ride_ref, ride_obs, args.out)
     print(f"wrote {len(truth.ref_arc)} reference + {len(truth.obs_arc)} "
           f"observed frames under {args.out}")
@@ -134,7 +94,8 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", parents=[], help="render a paired dataset")
-    p.add_argument("spec", help=f"preset name {sorted(PRESETS)} or spec file")
+    p.add_argument("spec",
+                   help=f"preset ({', '.join(PRESET_NAMES)}) or spec file")
     p.add_argument("out", help="output directory")
     p.set_defaults(func=cmd_synth)
 

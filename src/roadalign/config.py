@@ -59,6 +59,17 @@ def read_key_values(path):
     return out
 
 
+def check_keys(raw, known, kind):
+    """ConfigError for the first key of `raw` not in `known`, naming it
+    (as a `kind`) and the nearest known key."""
+    for key in raw:
+        if key not in known:
+            import difflib  # only a misspelt file pays for it
+            near = difflib.get_close_matches(key, sorted(known), n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown {kind} {key!r}{hint}")
+
+
 def _cast(field, text):
     """Parse one config value as the field's type; ConfigError if it fails."""
     kind = field.type
@@ -137,12 +148,7 @@ class PipelineConfig:
         # changed a label
         known = {f.name for f in fields(cls)} | {*_FORMER_KEYS, "beta",
                                                  "sigma_y", *SCENE_KEYS}
-        for key in raw:
-            if key not in known:
-                import difflib  # only a misspelt config pays for it
-                near = difflib.get_close_matches(key, sorted(known), n=1)
-                hint = f"; did you mean {near[0]!r}?" if near else ""
-                raise ConfigError(f"unknown config key {key!r}{hint}")
+        check_keys(raw, known, "config key")
         values = {}
         for f in fields(cls):
             text = str(raw.get(f.name, "")).strip()

@@ -1,20 +1,21 @@
 """Coarse gradient-direction frame descriptors and their similarity.
 
-A descriptor is the pair of gradient grids of a smoothed, heavily
-downsampled frame, floored where the gradient magnitude is weak and
-normalized to unit length as one stacked vector. The similarity of two
-descriptors is the best cosine of the two stacked gradient vectors
+A descriptor is one read-only float64 array of shape (2, h, w): the dx
+and dy gradient grids of a smoothed, heavily downsampled frame, floored
+where the gradient magnitude is weak and divided by their joint norm, so
+that the array has unit length (a flat frame gives exact zeros). This is
+the format a DescriptorBank stores, one flattened descriptor per row.
+The similarity of two descriptors is the best cosine of the two arrays
 restricted to their overlapping cells, over small integer grid shifts,
 which buys tolerance to small viewpoint offsets. It lies in [-1, 1]; a
 zero descriptor scores 0 against anything.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import gradient, smooth_and_average
+from .imagecore import smooth_and_average
 
 # cells whose gradient magnitude is below this share of the frame's
 # largest are zeroed
@@ -23,45 +24,15 @@ GRADIENT_FLOOR_RATIO = 0.05
 MAX_SHIFT = 2
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """Unit-norm stacked gradient grids (dx, dy) at descriptor resolution."""
-
-    dx: np.ndarray
-    dy: np.ndarray
-
-    @property
-    def shape(self):
-        return self.dx.shape
-
-    @property
-    def is_zero(self):
-        return not (np.any(self.dx) or np.any(self.dy))
-
-    @classmethod
-    def from_gradients(cls, dx, dy):
-        """Normalize raw gradient grids into a descriptor.
-
-        All-zero gradients produce the zero descriptor.
-        """
-        dx = np.asarray(dx, dtype=np.float64)
-        dy = np.asarray(dy, dtype=np.float64)
-        if dx.shape != dy.shape:
-            raise ValueError("dx and dy must have the same shape")
-        norm = math.sqrt(float((dx * dx).sum() + (dy * dy).sum()))
-        if norm > 0.0:
-            return cls(dx / norm, dy / norm)
-        return cls(dx.copy(), dy.copy())
-
-
 def compute_descriptor(img, smooth_sigma, downsample_factor):
-    """Descriptor of a grayscale frame.
+    """Descriptor of a grayscale frame, a read-only (2, h, w) array.
 
     Smooth (Gaussian, `smooth_sigma`), take means of blocks of
-    `downsample_factor` x `downsample_factor` pixels, take gradients,
-    zero every cell whose magnitude falls below GRADIENT_FLOOR_RATIO of
-    the maximum, then normalize. The downsampled frame must be at least
-    2x2.
+    `downsample_factor` x `downsample_factor` pixels, take central
+    differences (one-sided at the borders), zero every cell whose
+    magnitude falls below GRADIENT_FLOOR_RATIO of the maximum, then
+    divide both grids by their joint norm. The downsampled frame must be
+    at least 2x2.
 
     Smoothing and downsampling are both linear, so they are one
     `smooth_and_average` operator per axis, applied to the frame less its
@@ -75,13 +46,17 @@ def compute_descriptor(img, smooth_sigma, downsample_factor):
         raise ValueError(
             f"image too small: {small.shape[1]}x{small.shape[0]} after downsampling"
         )
-    dx, dy = gradient(small)
+    dy, dx = np.gradient(small)
     mag = np.hypot(dx, dy)
-    floor = GRADIENT_FLOOR_RATIO * mag.max()
-    weak = mag < floor
+    weak = mag < GRADIENT_FLOOR_RATIO * mag.max()
     dx[weak] = 0.0
     dy[weak] = 0.0
-    return Descriptor.from_gradients(dx, dy)
+    norm = math.sqrt(float((dx * dx).sum() + (dy * dy).sum()))
+    d = np.stack((dx, dy))
+    if norm > 0.0:
+        d /= norm
+    d.setflags(write=False)
+    return d
 
 
 def _shift_windows(h, w, max_shift):
@@ -102,8 +77,8 @@ def _shift_windows(h, w, max_shift):
 class DescriptorBank:
     """The descriptors of a reference ride as one (members, cells) matrix.
 
-    Row i of `matrix` is member i's dx grid followed by its dy grid,
-    flattened; `dx` and `dy` are (members, h, w) views of it.
+    Row i of `matrix` is member i's descriptor, flattened; `dx` and `dy`
+    are (members, h, w) views of it.
     """
 
     def __init__(self, descriptors):
@@ -111,11 +86,11 @@ class DescriptorBank:
         if not descriptors:
             raise ValueError("empty descriptor bank")
         shape = descriptors[0].shape
-        for d in descriptors:
-            if d.shape != shape:
-                raise ValueError("descriptor shapes differ")
-        grids = np.stack((np.stack([d.dx for d in descriptors]),
-                          np.stack([d.dy for d in descriptors])), axis=1)
+        if len(shape) != 3 or shape[0] != 2 or \
+                any(d.shape != shape for d in descriptors):
+            raise ValueError("descriptors must be (2, h, w) arrays of one "
+                             "shape")
+        grids = np.stack(descriptors)
         self.matrix = grids.reshape(len(descriptors), -1)
         self.dx, self.dy = grids[:, 0], grids[:, 1]
         self._shifts = {}
@@ -166,15 +141,16 @@ def similarity_to_bank(d, bank, max_shift=MAX_SHIFT, start=0, stop=None):
     in: einsum sums each entry alone, where a BLAS product's summation
     order depends on the width of the range.
     """
-    if d.shape != bank.grid_shape:
-        raise ValueError("descriptor shapes differ")
+    if d.shape != (2, *bank.grid_shape):
+        raise ValueError(f"descriptor shape {d.shape} is not "
+                         f"{(2, *bank.grid_shape)}")
     stop = len(bank) if stop is None else stop
     if not 0 <= start <= stop <= len(bank):
         raise ValueError(f"column range [{start}, {stop}) outside the bank")
-    if d.is_zero:
+    if not d.any():
         return np.zeros(stop - start)
     gather, norms = bank.shift_plan(max_shift)
-    probe = np.concatenate((d.dx.ravel(), d.dy.ravel(), [0.0]))[gather]
+    probe = np.append(d.ravel(), 0.0)[gather]
     dot = np.einsum("sk,nk->sn", probe, bank.matrix[start:stop])
     na = np.sqrt(np.einsum("sk,sk->s", probe, probe))[:, None]
     nb = norms[:, start:stop]

@@ -33,9 +33,5 @@ class UsageError(RoadAlignError):
     """Bad command line invocation."""
 
 
-class SyncLossError(RoadAlignError):
-    """No feasible monotone labeling exists for the current window."""
-
-
 class AlignmentError(RoadAlignError):
     """Rotation alignment could not produce a usable estimate."""

@@ -244,18 +244,6 @@ def smooth_and_average(n, sigma, factor):
     return op
 
 
-def gradient(img):
-    """Central-difference gradients, one-sided at the borders.
-
-    Returns (dx, dy) with dx along columns and dy along rows.
-    """
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise ValueError("gradient needs at least a 2x2 image")
-    dy, dx = np.gradient(arr)
-    return dx, dy
-
-
 def pyramid_depth(shape, levels):
     """Levels, at most `levels`, that `build_pyramid` builds for `shape`.
 

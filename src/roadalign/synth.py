@@ -10,18 +10,36 @@ removes them completely.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import SCENE_KEYS
+from .config import SCENE_KEYS, check_keys, read_key_values
+from .errors import ConfigError, DataError
 from .imagecore import pyramid_depth, save_image_rgb, save_mask
 
 MAX_JITTER = 0.02  # radians per axis
 
 _FRAME_NAME = "frame_{:06d}.ppm"
 _MASK_NAME = "mask_{:06d}.pgm"
+
+# what a spec file may override, with each value's parser. Frame counts
+# are deliberately not overridable: preset rides carry per-frame speed
+# and jitter schedules sized to their scene
+_SPEC_SCENE_KEYS = {"seed": int, "theta": float, "focal_px": float,
+                    "image_width": int, "image_height": int,
+                    "road_width": float}
+_SPEC_OBS_RIDE_KEYS = {"model_violation": float, "noise_sigma": float,
+                       "gain": float}
+
+
+def _check_finite(spec):
+    """ValueError naming the first float field of `spec` that is not finite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -89,12 +107,14 @@ class SceneSpec:
     background_texture_scale: float = 3.6
 
     def __post_init__(self):
+        _check_finite(self)
         if len(self.track_points) < 2:
             raise ValueError("track needs at least two control points")
         if self.road_width <= 0:
             raise ValueError("road_width must be positive")
         if self.image_width < 2 or self.image_height < 2:
-            raise ValueError("image dimensions too small")
+            raise ValueError("image_width and image_height must be at "
+                             "least 2")
         if self.focal_px <= 0:
             raise ValueError("focal_px must be positive")
         if self.frames < 1:
@@ -126,6 +146,7 @@ class RideSpec:
     model_violation: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.speed_profile is not None:
             prof = np.asarray(self.speed_profile, dtype=np.float64)
             if prof.ndim != 1 or prof.size < 1:
@@ -452,9 +473,23 @@ def make_pair(scene, ride_ref, ride_obs, out_dir):
 
     Layout under out_dir: ref/frame_%06d.ppm + ref/mask_%06d.pgm, the
     same under obs/, plus truth_correspondence.csv, truth_omega.csv and
-    scene.cfg. Identical specs produce byte-identical trees.
+    scene.cfg. Identical specs produce byte-identical trees. A frame or
+    mask file already in ref/ or obs/ that this render would not
+    overwrite is a DataError, raised before anything is written: a run
+    would pair it with this render's frames.
     """
     out = Path(out_dir)
+    for name, ride in (("ref", ride_ref), ("obs", ride_obs)):
+        count = len(_resolve_profile(scene, ride))
+        written = {pattern.format(j) for pattern in (_FRAME_NAME, _MASK_NAME)
+                   for j in range(count)}
+        stale = sorted(p for glob in ("frame_*.ppm", "mask_*.pgm")
+                       for p in (out / name).glob(glob)
+                       if p.name not in written)
+        if stale:
+            raise DataError(f"{stale[0]} is not a file of the {count} "
+                            f"frames this render writes; use an empty "
+                            f"directory")
     ref = render_ride(scene, ride_ref)
     obs = render_ride(scene, ride_obs)
     for name, render in (("ref", ref), ("obs", obs)):
@@ -571,3 +606,33 @@ def preset_mini():
 
 
 PRESETS = {"street": preset_street, "mini": preset_mini}
+
+
+def load_spec(spec):
+    """(scene, reference ride, observed ride) of a preset name, or of a
+    key=value file naming a `preset` (default street) plus overrides.
+
+    A key the file may not set and a value that does not parse or that
+    the scene or ride refuses are ConfigErrors.
+    """
+    if spec in PRESETS:
+        return PRESETS[spec]()
+    path = Path(spec)
+    if not path.is_file():
+        raise DataError(f"unknown preset or missing spec file: {spec}")
+    raw = read_key_values(path)
+    check_keys(raw, {"preset", *_SPEC_SCENE_KEYS, *_SPEC_OBS_RIDE_KEYS},
+               "spec key")
+    name = raw.get("preset", "street")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+    scene, ride_ref, ride_obs = PRESETS[name]()
+    try:
+        scene_kw = {k: cast(raw[k]) for k, cast in _SPEC_SCENE_KEYS.items()
+                    if k in raw}
+        ride_kw = {k: cast(raw[k]) for k, cast in _SPEC_OBS_RIDE_KEYS.items()
+                   if k in raw}
+        return (replace(scene, **scene_kw), ride_ref,
+                replace(ride_obs, **ride_kw))
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {spec}: {exc}") from exc

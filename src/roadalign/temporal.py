@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import MAX_SHIFT, similarity_to_bank
-from .errors import SyncLossError
 
 # the similarity the observation term is centred on: a perfect match
 MU_Y = 1.0
@@ -130,13 +129,16 @@ def fixed_lag_infer(table, cfg, min_label=1):
     message is -inf, which can neither win nor raise a prefix or suffix
     max.
 
-    Raises SyncLossError when no feasible monotone labeling remains.
+    Raises ValueError when no monotone labeling whose lagged label is at
+    least `min_label` has a finite sum. A synchronizer's table always has
+    one: all its rows hold finite terms over the same band, and the band
+    holds the last emitted label, which is its `min_label`.
     """
     table = _checked(table)
     rows = table.shape[0]
     scored = np.flatnonzero(np.isfinite(table).any(axis=0))
     if len(scored) == 0:
-        raise SyncLossError("no feasible monotone labeling for this window")
+        raise ValueError("no feasible monotone labeling for this window")
     lo, hi = int(scored[0]), int(scored[-1]) + 1
     span = table[:, lo:hi]
     lag_index = max(0, rows - 1 - cfg.lag_l)
@@ -152,7 +154,7 @@ def fixed_lag_infer(table, cfg, min_label=1):
     if min_label - 1 > lo:
         scores[: min_label - 1 - lo] = -np.inf
     if scores.max() == -np.inf:
-        raise SyncLossError("no feasible monotone labeling for this window")
+        raise ValueError("no feasible monotone labeling for this window")
     label = int(np.argmax(scores)) + 1 + lo
     return label, float(table[lag_index, label - 1])
 
@@ -162,7 +164,8 @@ def map_sequence(table):
 
     Same chain model as `fixed_lag_infer` but decodes every row at once
     by backtracking; used when the label window spans the full sequence.
-    Ties prefer smaller labels at each step.
+    Ties prefer smaller labels at each step. Raises ValueError when no
+    feasible monotone labeling exists.
     """
     table = _checked(table)
     rows, n = table.shape
@@ -178,7 +181,7 @@ def map_sequence(table):
         pointers.append(prefix_idx)
         fwd = table[k] + fwd[prefix_idx]
     if fwd.max() == -np.inf:
-        raise SyncLossError("no feasible monotone labeling for this window")
+        raise ValueError("no feasible monotone labeling for this window")
     labels = np.empty(rows, dtype=np.int64)
     labels[-1] = int(np.argmax(fwd))
     for k in range(rows - 2, -1, -1):

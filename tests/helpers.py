@@ -16,7 +16,6 @@ from scipy import ndimage
 
 from roadalign import _kernels
 from roadalign.descriptor import similarity_to_bank
-from roadalign.errors import SyncLossError
 from roadalign.imagecore import RGB_FLOOR, _read_pnm, gaussian_kernel
 from roadalign.spatial import warp_image
 from roadalign.temporal import SyncEmission
@@ -91,7 +90,7 @@ def full_width_fixed_lag_infer(table, cfg, min_label=1):
     if min_label > 1:
         scores[: min_label - 1] = -np.inf
     if scores.max() == -np.inf:
-        raise SyncLossError("no feasible monotone labeling for this window")
+        raise ValueError("no feasible monotone labeling for this window")
     label = int(np.argmax(scores)) + 1
     return label, float(table[lag_index, label - 1])
 
@@ -120,7 +119,7 @@ def loop_map_sequence(table):
         pointers.append(prefix_idx)
         fwd = table[k] + prefix_val
     if fwd.max() == -np.inf:
-        raise SyncLossError("no feasible monotone labeling for this window")
+        raise ValueError("no feasible monotone labeling for this window")
     labels = np.empty(rows, dtype=np.int64)
     labels[-1] = int(np.argmax(fwd))
     for k in range(rows - 2, -1, -1):
@@ -327,6 +326,16 @@ def loop_masked_sse(warped, valid, obs, skip):
     return sse, count
 
 
+def descriptor(dx, dy):
+    """The (2, h, w) descriptor of gradient grids dx and dy: both divided
+    by their joint norm, all zeros when they are."""
+    dx = np.asarray(dx, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
+    norm = math.sqrt(float((dx * dx).sum() + (dy * dy).sum()))
+    d = np.stack((dx, dy))
+    return d / norm if norm > 0.0 else d
+
+
 def similarity(a, b, max_shift=2):
     """Best renormalized inner product of b shifted against a.
 
@@ -337,9 +346,9 @@ def similarity(a, b, max_shift=2):
     """
     if a.shape != b.shape:
         raise ValueError("descriptor shapes differ")
-    if a.is_zero or b.is_zero:
+    if not (a.any() and b.any()):
         return 0.0
-    h, w = a.shape
+    _, h, w = a.shape
     best = -math.inf
     for v in range(-max_shift, max_shift + 1):
         for u in range(-max_shift, max_shift + 1):
@@ -347,10 +356,10 @@ def similarity(a, b, max_shift=2):
             xs0, xs1 = max(0, u), w + min(0, u)
             if ys0 >= ys1 or xs0 >= xs1:
                 continue
-            adx = a.dx[ys0:ys1, xs0:xs1]
-            ady = a.dy[ys0:ys1, xs0:xs1]
-            bdx = b.dx[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
-            bdy = b.dy[ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            adx = a[0, ys0:ys1, xs0:xs1]
+            ady = a[1, ys0:ys1, xs0:xs1]
+            bdx = b[0, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
+            bdy = b[1, ys0 - v:ys1 - v, xs0 - u:xs1 - u]
             dot = float((adx * bdx).sum() + (ady * bdy).sum())
             na = math.sqrt(float((adx * adx).sum() + (ady * ady).sum()))
             nb = math.sqrt(float((bdx * bdx).sum() + (bdy * bdy).sum()))
@@ -369,9 +378,9 @@ def observation_likelihood(a, b):
 
 def naive_similarity(a, b, max_shift=2):
     """Descriptor similarity by explicit per-cell overlap loops."""
-    if a.is_zero or b.is_zero:
+    if not (a.any() and b.any()):
         return 0.0
-    h, w = a.shape
+    _, h, w = a.shape
     best = -math.inf
     for v in range(-max_shift, max_shift + 1):
         for u in range(-max_shift, max_shift + 1):
@@ -382,10 +391,10 @@ def naive_similarity(a, b, max_shift=2):
                     yb, xb = y - v, x - u
                     if 0 <= yb < h and 0 <= xb < w:
                         hit = True
-                        num += a.dx[y, x] * b.dx[yb, xb]
-                        num += a.dy[y, x] * b.dy[yb, xb]
-                        na += a.dx[y, x] ** 2 + a.dy[y, x] ** 2
-                        nb += b.dx[yb, xb] ** 2 + b.dy[yb, xb] ** 2
+                        num += a[0, y, x] * b[0, yb, xb]
+                        num += a[1, y, x] * b[1, yb, xb]
+                        na += a[0, y, x] ** 2 + a[1, y, x] ** 2
+                        nb += b[0, yb, xb] ** 2 + b[1, yb, xb] ** 2
             if not hit:
                 continue
             score = num / math.sqrt(na) / math.sqrt(nb) if na > 0 and nb > 0 else 0.0

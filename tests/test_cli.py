@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roadalign import pipeline
-from roadalign.cli import main
+from roadalign.cli import PRESET_NAMES, main
 from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
                                  save_mask)
 
@@ -52,6 +52,65 @@ def test_synth_unknown_preset_fails(tmp_path, capsys):
     assert main(["synth", str(spec), str(tmp_path / "d")]) == 2
     spec.write_text("preset=mini\nroad_width=wide\n")
     assert main(["synth", str(spec), str(tmp_path / "d")]) == 2
+
+
+def test_preset_names_are_the_presets():
+    from roadalign.synth import PRESETS
+    assert sorted(PRESET_NAMES) == sorted(PRESETS)
+
+
+def _synth_spec(tmp_path, text):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(text)
+    return main(["synth", str(spec), str(tmp_path / "d")])
+
+
+@pytest.mark.parametrize("line, near", [
+    ("focal=100", "focal_px"), ("image_widht=64", "image_width"),
+    # frame counts are fixed by the preset's schedules
+    ("frames=30", None)])
+def test_synth_spec_unknown_key_is_a_config_error(tmp_path, capsys, line,
+                                                  near):
+    assert _synth_spec(tmp_path, f"preset=mini\n{line}\n") == 2
+    err = capsys.readouterr().err
+    assert f"unknown spec key {line.split('=')[0]!r}" in err
+    if near is not None:
+        assert f"did you mean {near!r}" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("line", [
+    # out of range
+    "focal_px=-3", "gain=2", "image_width=1",
+    # not finite
+    "theta=nan", "focal_px=inf", "road_width=inf", "noise_sigma=nan"])
+def test_synth_spec_bad_value_is_a_config_error(tmp_path, capsys, line):
+    assert _synth_spec(tmp_path, f"preset=mini\n{line}\n") == 2
+    assert f"bad value in {tmp_path / 'spec.cfg'}: {line.split('=')[0]}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("stray", ["ref/frame_000050.ppm",
+                                   "obs/mask_000014.pgm"])
+def test_synth_refuses_files_of_another_render(tmp_path, capsys, stray):
+    # mini writes frames 0-17 to ref/ and 0-13 to obs/; a run would pair
+    # the stray file with them
+    path = tmp_path / "d" / stray
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"not this render's")
+    assert main(["synth", "mini", str(tmp_path / "d")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert path.read_bytes() == b"not this render's"
+    assert [p for p in (tmp_path / "d").rglob("*") if p.is_file()] == [path]
+
+
+def test_synth_renders_again_into_its_own_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "mini", str(out)]) == 0
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(["synth", "mini", str(out)]) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
 
 
 def test_align_needs_theta(mini_pair, tmp_path, capsys):

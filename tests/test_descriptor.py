@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
-from helpers import (naive_similarity, observation_likelihood, similarity,
-                     smoothed_grid, textured_image)
+from helpers import (descriptor, naive_similarity, observation_likelihood,
+                     similarity, smoothed_grid, textured_image)
 
-from roadalign.descriptor import (GRADIENT_FLOOR_RATIO, Descriptor,
-                                  DescriptorBank, compute_descriptor,
-                                  similarity_to_bank)
-from roadalign.imagecore import gradient, smooth_and_average
+from roadalign.descriptor import (GRADIENT_FLOOR_RATIO, DescriptorBank,
+                                  compute_descriptor, similarity_to_bank)
+from roadalign.imagecore import smooth_and_average
 from roadalign.temporal import SyncConfig, build_likelihood_table
 
 
 def _random_descriptor(rng, shape=(5, 7), zero=False):
     if zero:
-        return Descriptor.from_gradients(np.zeros(shape), np.zeros(shape))
-    return Descriptor.from_gradients(rng.standard_normal(shape),
-                                     rng.standard_normal(shape))
+        return descriptor(np.zeros(shape), np.zeros(shape))
+    return descriptor(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 def test_from_gradients_normalizes():
-    d = Descriptor.from_gradients([[3.0, 0.0]], [[0.0, 4.0]])
-    assert (d.dx ** 2).sum() + (d.dy ** 2).sum() == pytest.approx(1.0)
-    assert not d.is_zero
-    z = Descriptor.from_gradients(np.zeros((2, 2)), np.zeros((2, 2)))
-    assert z.is_zero
-    with pytest.raises(ValueError):
-        Descriptor.from_gradients(np.zeros((2, 2)), np.zeros((2, 3)))
+    # the oracle's normalisation, which the package's descriptors share
+    d = descriptor([[3.0, 0.0]], [[0.0, 4.0]])
+    assert np.array_equal(d, [[[0.6, 0.0]], [[0.0, 0.8]]])
+    assert not descriptor(np.zeros((2, 2)), np.zeros((2, 2))).any()
 
 
 def test_compute_descriptor_unit_norm_and_floor():
@@ -32,9 +27,11 @@ def test_compute_descriptor_unit_norm_and_floor():
     # the left half keeps 2% of its contrast, below the floor
     img[:, :80] = 0.5 + 0.02 * (img[:, :80] - 0.5)
     d = compute_descriptor(img, 2.0, 16)
-    assert d.shape == (120 // 16 + 1, 160 // 16)
-    assert (d.dx ** 2).sum() + (d.dy ** 2).sum() == pytest.approx(1.0)
-    mag = np.hypot(d.dx, d.dy)
+    # dx and dy, stacked, in the format the bank stores
+    assert d.shape == (2, 120 // 16 + 1, 160 // 16)
+    assert d.dtype == np.float64 and not d.flags.writeable
+    assert (d ** 2).sum() == pytest.approx(1.0)
+    mag = np.hypot(d[0], d[1])
     assert not mag[:, :4].any()
     nonzero = mag[mag > 0]
     # every surviving cell clears the floor relative to the strongest cell
@@ -43,12 +40,12 @@ def test_compute_descriptor_unit_norm_and_floor():
 
 def _floored_descriptor(small):
     """Gradients of a downsampled frame, floored and normalized."""
-    dx, dy = gradient(small)
+    dy, dx = np.gradient(small)
     mag = np.hypot(dx, dy)
     weak = mag < GRADIENT_FLOOR_RATIO * mag.max()
     dx[weak] = 0.0
     dy[weak] = 0.0
-    return Descriptor.from_gradients(dx, dy)
+    return descriptor(dx, dy)
 
 
 @pytest.mark.parametrize("shape", [(61, 83), (60, 80), (120, 160)])
@@ -64,8 +61,7 @@ def test_operator_matches_smoothing_then_block_means(shape, factor, sigma):
     assert np.allclose(rows @ img @ cols.T, want, rtol=0, atol=1e-12)
     got = compute_descriptor(img, sigma, factor)
     oracle = _floored_descriptor(want)
-    assert np.allclose(got.dx, oracle.dx, rtol=0, atol=1e-12)
-    assert np.allclose(got.dy, oracle.dy, rtol=0, atol=1e-12)
+    assert np.allclose(got, oracle, rtol=0, atol=1e-12)
 
 
 def test_operator_is_cached_and_read_only():
@@ -76,14 +72,14 @@ def test_operator_is_cached_and_read_only():
 
 
 def test_flat_and_row_constant_frames():
-    assert compute_descriptor(np.full((60, 80), 0.37), 1.5, 8).is_zero
+    assert not compute_descriptor(np.full((60, 80), 0.37), 1.5, 8).any()
     # every row constant: the gradient along the rows is rounding alone.
     # Not exactly zero: the border rows of the column operator hold other
     # weights than the inner ones, so their products round differently.
     ramp = np.repeat(np.linspace(0.1, 0.9, 60)[:, None] ** 2, 80, axis=1)
     d = compute_descriptor(ramp, 1.5, 8)
-    assert np.abs(d.dx).max() < 1e-15
-    assert np.sum(d.dy ** 2) == pytest.approx(1.0)
+    assert np.abs(d[0]).max() < 1e-15
+    assert np.sum(d[1] ** 2) == pytest.approx(1.0)
 
 
 def test_compute_descriptor_rejects_tiny_images():
@@ -116,8 +112,7 @@ def test_similarity_basic_properties():
 def test_similarity_recovers_integer_shifts():
     img = textured_image(2, (160, 200))
     base = compute_descriptor(img, 2.0, 8)
-    shifted = Descriptor.from_gradients(np.roll(base.dx, (1, 2), axis=(0, 1)),
-                                        np.roll(base.dy, (1, 2), axis=(0, 1)))
+    shifted = np.roll(base, (1, 2), axis=(1, 2))
     assert similarity(base, shifted, 2) > 0.93
     assert similarity(base, shifted, 0) < similarity(base, shifted, 2)
 
@@ -127,7 +122,7 @@ def _corner_probe(shape):
     is all zeros for every shift that leaves that cell out."""
     dx = np.zeros(shape)
     dx[0, 0] = -1.0
-    return Descriptor.from_gradients(dx, np.zeros(shape))
+    return descriptor(dx, np.zeros(shape))
 
 
 def test_bank_matches_scalar_similarity():
@@ -153,8 +148,8 @@ def _check_bank_against_scalar(rng, shape, max_shifts):
         assert len(bank) == len(descriptors)
         assert bank.grid_shape == shape
         # dx and dy are the stacked grids, as views of the one matrix
-        assert np.array_equal(bank.dx, np.stack([d.dx for d in descriptors]))
-        assert np.array_equal(bank.dy, np.stack([d.dy for d in descriptors]))
+        assert np.array_equal(bank.dx, np.stack([d[0] for d in descriptors]))
+        assert np.array_equal(bank.dy, np.stack([d[1] for d in descriptors]))
         assert np.shares_memory(bank.dx, bank.matrix)
         assert np.shares_memory(bank.dy, bank.matrix)
         for probe in probes:
@@ -185,6 +180,19 @@ def test_bank_column_range_is_bit_identical_to_full(shape):
     for start, stop in [(-1, 4), (5, 4), (0, 41)]:
         with pytest.raises(ValueError, match="column range"):
             similarity_to_bank(probe, bank, 2, start, stop)
+
+
+def test_bank_and_similarity_refuse_other_shapes():
+    rng = np.random.default_rng(14)
+    d = _random_descriptor(rng, (4, 5))
+    bank = DescriptorBank([d, _random_descriptor(rng, (4, 5))])
+    # a grid alone, a third plane or another grid is not misread
+    for probe in (d[0], np.concatenate((d, d[:1])), d[:, :3]):
+        with pytest.raises(ValueError, match=r"is not \(2, 4, 5\)"):
+            similarity_to_bank(probe, bank)
+    for members in ([d[0], d[1]], [d, _random_descriptor(rng, (4, 4))]):
+        with pytest.raises(ValueError, match="one shape"):
+            DescriptorBank(members)
 
 
 def test_observation_likelihood_composes():

@@ -12,10 +12,9 @@ from roadalign.errors import (ImageFormatError, MalformedHeaderError,
                               TruncatedPayloadError, UnsupportedMaxvalError)
 from roadalign import imagecore
 from roadalign.imagecore import (RGB_FLOOR, _parse_pnm_header, build_pyramid,
-                                 gaussian_kernel, gradient, load_image,
-                                 load_mask, pyramid_depth, read_image_shape,
-                                 rgb_to_gray, save_image_rgb, save_mask,
-                                 smooth_and_average)
+                                 gaussian_kernel, load_image, load_mask,
+                                 pyramid_depth, read_image_shape, rgb_to_gray,
+                                 save_image_rgb, save_mask, smooth_and_average)
 
 
 def test_load_gray_maps_by_255(tmp_path):
@@ -289,18 +288,6 @@ def test_downsample_matches_naive(shape, factor):
     img = rng.random(shape)
     want = naive_downsample(scipy_gaussian_smooth(img, 1.0), factor)
     assert np.allclose(_smooth(img, 1.0, factor), want, rtol=0, atol=1e-12)
-
-
-def test_gradient_on_linear_ramp():
-    y, x = np.mgrid[0:6, 0:8]
-    dx, dy = gradient(x + 2.0 * y)
-    assert np.allclose(dx, 1.0)
-    assert np.allclose(dy, 2.0)
-
-
-def test_gradient_needs_two_by_two():
-    with pytest.raises(ValueError):
-        gradient(np.zeros((1, 5)))
 
 
 def test_build_pyramid_halves_until_min_side(caplog):

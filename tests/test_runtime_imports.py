@@ -70,3 +70,25 @@ def test_a_run_does_not_import_synth(mini_pair, tmp_path):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout.strip() == "ok"
+
+
+# runs align through the command line in a fresh process
+_CLI_ALIGN = """
+import sys
+import roadalign.cli
+root, out = sys.argv[1], sys.argv[2]
+assert roadalign.cli.main(["align", root + "/ref", root + "/obs", out,
+                           "--config", root + "/scene.cfg"]) == 0
+print("roadalign.synth" in sys.modules)
+"""
+
+
+def test_the_cli_imports_synth_for_synth_alone(mini_pair, tmp_path):
+    """Only the synth command renders, so only it imports the renderer."""
+    src = Path(roadalign.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_ALIGN, str(mini_pair.root),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip().splitlines()[-1] == "False"
