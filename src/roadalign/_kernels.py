@@ -1,11 +1,21 @@
 """Hot per-pixel kernels, vectorized with numpy.
 
-Backward warping under the small-rotation quadratic motion model,
-bilinear (images) or half-up nearest (masks) sampling, validity limited
-to sampling positions inside [0, w-1] x [0, h-1], and Gauss-Newton term
-accumulation with gradients matching numpy.gradient (central inside,
-one-sided at borders). Pixels whose gradient stencil touches an invalid
-sample are skipped.
+Backward warping under the small-rotation quadratic motion model and
+Gauss-Newton term accumulation.
+
+A sampling position is valid when it lies inside [0, w-1] x [0, h-1],
+that is when clipping it to that range leaves it unchanged; the floor
+of the clipped position is the gather index. Bilinear sampling (images)
+reads a frame padded with a copy of its last row and last column
+(`pad_edge`), so the four neighbours of every clipped position lie in
+the padded frame: one flat index array is taken from the padded frame
+at offsets 0, 1, W and W+1. Nearest sampling (masks) rounds half up.
+
+Residuals and Gauss-Newton terms cover only the interior
+[skip:h-skip, skip:w-skip], skip >= 1, where the gradient is the
+central difference (f[i+1] - f[i-1]) / 2 that numpy.gradient computes
+there. Pixels whose gradient stencil touches an invalid sample are
+skipped.
 
 The image kernels compute in the dtype of their image input: float32
 stays float32 and every other input is computed in float64. Gather
@@ -80,14 +90,54 @@ def pixel_grid(h, w, f, cx, cy, dtype):
     return cols, rows, basis
 
 
-def _sample_positions(h, w, wx, wy, wz, f, cx, cy, dtype):
-    """Sampling positions (sx, sy) of every pixel of an h x w frame."""
+def _clipped_positions(h, w, wx, wy, wz, f, cx, cy, dtype):
+    """(sx, sy, valid): every pixel's sampling position, clipped to the
+    frame, and whether clipping left it unchanged."""
     cols, rows, basis = pixel_grid(h, w, f, cx, cy, dtype)
     # Python floats: a numpy float64 angle would promote a float32 grid
     sx, sy = basis.flow(float(wx), float(wy), float(wz))
     sx += cols
     sy += rows
-    return sx, sy
+    clipped_x = np.clip(sx, 0, w - 1)
+    clipped_y = np.clip(sy, 0, h - 1)
+    valid = clipped_x == sx
+    valid &= clipped_y == sy
+    return clipped_x, clipped_y, valid
+
+
+def pad_edge(src, dtype):
+    """src as `dtype` with a copy of its last row and last column appended."""
+    h, w = src.shape
+    out = np.empty((h + 1, w + 1), dtype=dtype)
+    out[:h, :w] = src
+    out[:h, w] = out[:h, w - 1]
+    out[h] = out[h - 1]
+    return out
+
+
+def _warp_padded(padded, wx, wy, wz, f, cx, cy):
+    """Bilinear backward warp of the frame that `padded` pads."""
+    h, w = padded.shape[0] - 1, padded.shape[1] - 1
+    sx, sy, valid = _clipped_positions(h, w, wx, wy, wz, f, cx, cy,
+                                       padded.dtype)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    stride = w + 1
+    i = y0.astype(_index_dtype(h + 1, stride))
+    i *= stride
+    i += x0.astype(i.dtype)
+    flat = padded.ravel()
+    gx = 1.0 - fx
+    top = gx * flat.take(i)
+    top += fx * flat[1:].take(i)
+    bot = gx * flat[stride:].take(i)
+    bot += fx * flat[stride + 1:].take(i)
+    out = (1.0 - fy) * top
+    out += fy * bot
+    out[~valid] = 0.0
+    return out, valid
 
 
 def warp_bilinear(src, wx, wy, wz, f, cx, cy):
@@ -96,78 +146,74 @@ def warp_bilinear(src, wx, wy, wz, f, cx, cy):
     `warped` is float32 for a float32 src and float64 otherwise.
     """
     src = np.asarray(src)
-    dtype = _float_dtype(src)
-    src = src.astype(dtype, copy=False)
-    h, w = src.shape
-    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy, dtype)
-    valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    index = _index_dtype(h, w)
-    ix = np.clip(x0, 0, w - 1, out=x0).astype(index)
-    iy = np.clip(y0, 0, h - 1, out=y0).astype(index)
-    # flat indices of the four neighbours; the far ones clamp at the edge
-    i00 = iy * w
-    i00 += ix
-    i01 = i00 + (ix < w - 1)
-    down = (iy < h - 1).astype(index)
-    down *= w
-    flat = src.ravel()
-    gx = 1.0 - fx
-    top = gx * flat.take(i00)
-    top += fx * flat.take(i01)
-    bot = gx * flat.take(i00 + down)
-    bot += fx * flat.take(i01 + down)
-    out = (1.0 - fy) * top
-    out += fy * bot
-    out[~valid] = 0.0
-    return out, valid
+    return _warp_padded(pad_edge(src, _float_dtype(src)),
+                        wx, wy, wz, f, cx, cy)
 
 
 def warp_nearest(mask, wx, wy, wz, f, cx, cy):
     """Backward-warp a boolean mask with half-up nearest sampling."""
     mask = np.asarray(mask, dtype=np.bool_)
     h, w = mask.shape
-    sx, sy = _sample_positions(h, w, wx, wy, wz, f, cx, cy, _F64)
-    valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+    sx, sy, valid = _clipped_positions(h, w, wx, wy, wz, f, cx, cy, _F64)
+    # a clipped position plus 0.5 is positive and below side - 0.5, so
+    # the cast, which truncates, gives its floor inside the frame
     index = _index_dtype(h, w)
-    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(index)
-    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(index)
-    return mask.ravel().take(iy * w + ix) & valid
+    sx += 0.5
+    sy += 0.5
+    i = sy.astype(index)
+    i *= w
+    i += sx.astype(index)
+    return mask.ravel().take(i) & valid
 
 
-def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
-    """Gauss-Newton terms (hess, grad, count) of warped against obs.
+def _interior(skip):
+    """Slice of one axis leaving out `skip` >= 1 pixels at each end."""
+    if skip < 1:
+        raise ValueError(f"skip must be at least 1, got {skip}")
+    return slice(skip, -skip)
 
-    `warped` and `valid` are a `warp_bilinear` result, so that the step
-    that accepted a warp reuses it. The per-pixel terms are computed in
-    `warped`'s dtype, so `obs` should share it.
+
+def masked_sse(warped, valid, obs, skip):
+    """(sum of squared residuals, count, resid) over valid interior pixels.
+
+    `resid` is warped - obs over the whole interior [skip:h-skip,
+    skip:w-skip], for `lk_accumulate`.
+    """
+    inner = _interior(skip)
+    resid = warped[inner, inner] - obs[inner, inner]
+    r = resid[valid[inner, inner]]
+    return float((r * r).sum()), r.size, resid
+
+
+def lk_accumulate(warped, valid, resid, f, cx, cy, skip):
+    """Gauss-Newton terms (hess, grad, count) of a warp over the interior.
+
+    `warped` and `valid` are a `warp_bilinear` result and `resid` the
+    interior residual that `masked_sse` returned for them, so that the
+    step that accepted a warp reuses both. The per-pixel terms are
+    computed in `warped`'s dtype, so `resid` should share it.
     """
     h, w = warped.shape
-    gy, gx = np.gradient(warped)
-
-    ok = valid.copy()
-    nb = np.empty_like(valid)
-    nb[:, 1:-1] = valid[:, :-2] & valid[:, 2:]
-    nb[:, 0] = valid[:, 1]
-    nb[:, -1] = valid[:, -2]
-    ok &= nb
-    nb[1:-1, :] = valid[:-2, :] & valid[2:, :]
-    nb[0, :] = valid[1, :]
-    nb[-1, :] = valid[-2, :]
-    ok &= nb
-    if skip > 0:
-        inner = np.zeros_like(ok)
-        inner[skip:h - skip, skip:w - skip] = True
-        ok &= inner
+    inner = _interior(skip)
+    # the interior shifted one pixel back (up or left), down and right
+    back = slice(skip - 1, -skip - 1)
+    down = slice(skip + 1, h - skip + 1)
+    right = slice(skip + 1, w - skip + 1)
+    gx = warped[inner, right] - warped[inner, back]
+    gx /= 2.0
+    gy = warped[down, inner] - warped[back, inner]
+    gy /= 2.0
+    ok = valid[inner, inner] & valid[inner, back]
+    ok &= valid[inner, right]
+    ok &= valid[back, inner]
+    ok &= valid[down, inner]
 
     _, _, b = pixel_grid(h, w, f, cx, cy, _float_dtype(warped))
-    jx = (gy * b.fy - gx * b.xy)[ok]
-    jy = (gx * b.fx + gy * b.xy)[ok]
-    jz = (gy * b.x - gx * b.y)[ok]
-    r = (warped - obs)[ok]
+    xy = b.xy[inner, inner]
+    jx = (gy * b.fy[inner] - gx * xy)[ok]
+    jy = (gx * b.fx[inner] + gy * xy)[ok]
+    jz = (gy * b.x[inner] - gx * b.y[inner])[ok]
+    r = resid[ok]
 
     hess = np.empty((3, 3))
     hess[0, 0] = (jx * jx).sum()
@@ -177,22 +223,15 @@ def lk_accumulate(warped, valid, obs, f, cx, cy, skip):
     hess[1, 2] = hess[2, 1] = (jy * jz).sum()
     hess[2, 2] = (jz * jz).sum()
     grad = np.array([(jx * r).sum(), (jy * r).sum(), (jz * r).sum()])
-    return hess, grad, int(ok.sum())
+    return hess, grad, r.size
 
 
-def masked_sse(warped, valid, obs, skip):
-    """(sum of squared residuals, count) over valid pixels inside skip."""
-    h, w = warped.shape
-    if skip > 0:
-        region = np.zeros_like(valid)
-        region[skip:h - skip, skip:w - skip] = valid[skip:h - skip, skip:w - skip]
-    else:
-        region = valid
-    r = (warped - obs)[region]
-    return float((r * r).sum()), int(region.sum())
+def warp_sse(padded, obs, wx, wy, wz, f, cx, cy, skip):
+    """Warp the frame that `padded` (a `pad_edge` result) pads onto obs.
 
-
-def warp_sse(ref, obs, wx, wy, wz, f, cx, cy, skip):
-    """Warp ref; return (sum of squared residuals, pixel count, warped, valid)."""
-    warped, valid = warp_bilinear(ref, wx, wy, wz, f, cx, cy)
-    return (*masked_sse(warped, valid, obs, skip), warped, valid)
+    Returns (sum of squared residuals, pixel count, warped, valid,
+    resid), as `masked_sse` and `warp_bilinear` give them.
+    """
+    warped, valid = _warp_padded(padded, wx, wy, wz, f, cx, cy)
+    sse, n, resid = masked_sse(warped, valid, obs, skip)
+    return sse, n, warped, valid, resid

@@ -90,12 +90,13 @@ def warp_mask(mask, omega, intrinsics):
     )
 
 
-def _mse(ref, obs, omega_arr, f, cx, cy):
-    """(mean squared residual, count, warped, valid) of ref warped by omega."""
-    sse, n, warped, valid = _kernels.warp_sse(
-        ref, obs, omega_arr[0], omega_arr[1], omega_arr[2], f, cx, cy,
+def _mse(padded, obs, omega_arr, f, cx, cy):
+    """(mean squared residual, count, warped, valid, resid) of the frame
+    that `padded` pads, warped by omega; see `_kernels.warp_sse`."""
+    sse, n, warped, valid, resid = _kernels.warp_sse(
+        padded, obs, omega_arr[0], omega_arr[1], omega_arr[2], f, cx, cy,
         ROBUST_SKIP)
-    return (sse / n if n else math.inf), n, warped, valid
+    return (sse / n if n else math.inf), n, warped, valid, resid
 
 
 def _step_bound(intrinsics, shape):
@@ -143,23 +144,25 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
         raise ValueError("frame shapes differ")
     omega = np.zeros(3)
 
-    pyr_ref = [a.astype(np.float32) for a in build_pyramid(ref, levels)]
+    # each reference level is padded once for all of its warps
+    pyr_ref = [_kernels.pad_edge(a, np.float32)
+               for a in build_pyramid(ref, levels)]
     pyr_obs = [a.astype(np.float32) for a in build_pyramid(obs, levels)]
 
     mse = math.inf
     for level in range(len(pyr_ref) - 1, -1, -1):
         k = intrinsics.scaled(2 ** level)
-        r_img = pyr_ref[level]
+        r_pad = pyr_ref[level]
         o_img = pyr_obs[level]
         f, cx, cy = k.focal_px, k.cx, k.cy
-        bound = _step_bound(k, r_img.shape)
-        mse, n, warped, valid = _mse(r_img, o_img, omega, f, cx, cy)
+        bound = _step_bound(k, o_img.shape)
+        mse, n, warped, valid, resid = _mse(r_pad, o_img, omega, f, cx, cy)
         if n < MIN_PIXELS:
             raise AlignmentError("too few valid pixels for alignment")
         for _ in range(MAX_ITERATIONS):
             # the warp at omega is the one that accepted omega
             hess, grad, n_acc = _kernels.lk_accumulate(
-                warped, valid, o_img, f, cx, cy, ROBUST_SKIP)
+                warped, valid, resid, f, cx, cy, ROBUST_SKIP)
             if n_acc < MIN_PIXELS:
                 raise AlignmentError("too few valid pixels for alignment")
             try:
@@ -176,11 +179,11 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
                 if halving and step_px < MIN_STEP_PX:
                     break
                 candidate = omega + delta
-                cand_mse, cand_n, cand_warped, cand_valid = _mse(
-                    r_img, o_img, candidate, f, cx, cy)
+                cand_mse, cand_n, *cand_warp = _mse(
+                    r_pad, o_img, candidate, f, cx, cy)
                 if cand_n >= MIN_PIXELS and cand_mse <= mse:
                     omega, mse = candidate, cand_mse
-                    warped, valid = cand_warped, cand_valid
+                    warped, valid, resid = cand_warp
                     accepted = True
                     break
                 delta = delta / 2.0

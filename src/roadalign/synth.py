@@ -23,6 +23,9 @@ MAX_JITTER = 0.02  # radians per axis
 
 _FRAME_NAME = "frame_{:06d}.ppm"
 _MASK_NAME = "mask_{:06d}.pgm"
+# the descriptor downsampling that the written scene.cfg sets; frames
+# must give at least 2x2 descriptor cells at it
+_CFG_DOWNSAMPLE = 8
 
 # what a spec file may override, with each value's parser. Frame counts
 # are deliberately not overridable: preset rides carry per-frame speed
@@ -476,8 +479,18 @@ def make_pair(scene, ride_ref, ride_obs, out_dir):
     scene.cfg. Identical specs produce byte-identical trees. A frame or
     mask file already in ref/ or obs/ that this render would not
     overwrite is a DataError, raised before anything is written: a run
-    would pair it with this render's frames.
+    would pair it with this render's frames. A frame side that gives
+    under 2 descriptor cells at scene.cfg's downsample_factor is a
+    ConfigError, raised before anything is written too: no run could
+    align the pair with that scene.cfg.
     """
+    if min(scene.image_width, scene.image_height) <= _CFG_DOWNSAMPLE:
+        raise ConfigError(
+            f"image_width and image_height must be at least "
+            f"{_CFG_DOWNSAMPLE + 1}, got {scene.image_width}x"
+            f"{scene.image_height}: the written scene.cfg sets "
+            f"downsample_factor={_CFG_DOWNSAMPLE}, which needs 2x2 "
+            f"descriptor cells")
     out = Path(out_dir)
     for name, ride in (("ref", ride_ref), ("obs", ride_obs)):
         count = len(_resolve_profile(scene, ride))
@@ -530,7 +543,7 @@ def _scene_cfg_text(scene, ride_ref, ride_obs):
         "lag=5",
         "window=10",
         "smooth_sigma=1.5",
-        "downsample_factor=8",
+        f"downsample_factor={_CFG_DOWNSAMPLE}",
         f"pyramid_levels={levels}",
     ]
     values = (scene.seed, scene.image_width, scene.image_height,

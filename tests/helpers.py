@@ -270,6 +270,84 @@ def loop_lk_terms(warped, valid, obs, f, cx, cy, skip):
     return hess, grad, count
 
 
+# Whole-frame numpy formulations of the `_kernels` functions: the
+# clamped four-index gather and np.gradient over the whole frame. The
+# kernels must equal them bit for bit.
+
+
+def clamped_warp_bilinear(src, wx, wy, wz, f, cx, cy):
+    src = np.asarray(src)
+    dtype = src.dtype if src.dtype == np.float32 else np.dtype(np.float64)
+    src = src.astype(dtype, copy=False)
+    h, w = src.shape
+    cols, rows, basis = _kernels.pixel_grid(h, w, f, cx, cy, dtype)
+    sx, sy = basis.flow(float(wx), float(wy), float(wz))
+    sx += cols
+    sy += rows
+    valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    ix = np.clip(x0, 0, w - 1, out=x0).astype(np.intp)
+    iy = np.clip(y0, 0, h - 1, out=y0).astype(np.intp)
+    # flat indices of the four neighbours; the far ones clamp at the edge
+    i00 = iy * w + ix
+    i01 = i00 + (ix < w - 1)
+    down = (iy < h - 1) * w
+    flat = src.ravel()
+    gx = 1.0 - fx
+    top = gx * flat.take(i00)
+    top += fx * flat.take(i01)
+    bot = gx * flat.take(i00 + down)
+    bot += fx * flat.take(i01 + down)
+    out = (1.0 - fy) * top
+    out += fy * bot
+    out[~valid] = 0.0
+    return out, valid
+
+
+def full_frame_masked_sse(warped, valid, obs, skip):
+    h, w = warped.shape
+    region = np.zeros_like(valid)
+    region[skip:h - skip, skip:w - skip] = valid[skip:h - skip, skip:w - skip]
+    r = (warped - obs)[region]
+    return float((r * r).sum()), int(region.sum())
+
+
+def full_frame_lk_accumulate(warped, valid, obs, f, cx, cy, skip):
+    h, w = warped.shape
+    gy, gx = np.gradient(warped)
+    ok = valid.copy()
+    nb = np.empty_like(valid)
+    nb[:, 1:-1] = valid[:, :-2] & valid[:, 2:]
+    nb[:, 0] = valid[:, 1]
+    nb[:, -1] = valid[:, -2]
+    ok &= nb
+    nb[1:-1, :] = valid[:-2, :] & valid[2:, :]
+    nb[0, :] = valid[1, :]
+    nb[-1, :] = valid[-2, :]
+    ok &= nb
+    inner = np.zeros_like(ok)
+    inner[skip:h - skip, skip:w - skip] = True
+    ok &= inner
+    dtype = warped.dtype if warped.dtype == np.float32 else np.float64
+    _, _, b = _kernels.pixel_grid(h, w, f, cx, cy, np.dtype(dtype))
+    jx = (gy * b.fy - gx * b.xy)[ok]
+    jy = (gx * b.fx + gy * b.xy)[ok]
+    jz = (gy * b.x - gx * b.y)[ok]
+    r = (warped - obs)[ok]
+    hess = np.empty((3, 3))
+    hess[0, 0] = (jx * jx).sum()
+    hess[0, 1] = hess[1, 0] = (jx * jy).sum()
+    hess[0, 2] = hess[2, 0] = (jx * jz).sum()
+    hess[1, 1] = (jy * jy).sum()
+    hess[1, 2] = hess[2, 1] = (jy * jz).sum()
+    hess[2, 2] = (jz * jz).sum()
+    grad = np.array([(jx * r).sum(), (jy * r).sum(), (jz * r).sum()])
+    return hess, grad, int(ok.sum())
+
+
 def motion_field(x, y, omega, intrinsics):
     """Displacement (u, v) of the rotation flow at pixel positions (x, y).
 
@@ -288,8 +366,9 @@ def ssd_objective(reference_frame, observed_frame, omega, intrinsics,
 
     Returns (sse, pixel count) over valid pixels inside the border skip.
     """
-    sse, n, _, _ = _kernels.warp_sse(
-        reference_frame, observed_frame,
+    ref = np.asarray(reference_frame)
+    sse, n, _, _, _ = _kernels.warp_sse(
+        _kernels.pad_edge(ref, _kernels._float_dtype(ref)), observed_frame,
         omega.omega_x, omega.omega_y, omega.omega_z,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
     )
@@ -305,8 +384,10 @@ def ssd_gradient(reference_frame, observed_frame, omega, intrinsics,
     `ssd_objective` whenever the whole skip region warps validly.
     """
     warped, valid = warp_image(reference_frame, omega, intrinsics)
+    _, _, resid = _kernels.masked_sse(warped, valid, observed_frame,
+                                      border_skip)
     _, grad, _ = _kernels.lk_accumulate(
-        warped, valid, observed_frame,
+        warped, valid, resid,
         intrinsics.focal_px, intrinsics.cx, intrinsics.cy, border_skip,
     )
     return 2.0 * grad

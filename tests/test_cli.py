@@ -105,6 +105,26 @@ def test_synth_refuses_files_of_another_render(tmp_path, capsys, stray):
     assert [p for p in (tmp_path / "d").rglob("*") if p.is_file()] == [path]
 
 
+@pytest.mark.parametrize("width, height", [(8, 8), (8, 12), (40, 8)])
+def test_synth_refuses_frames_its_scene_cfg_cannot_align(tmp_path, capsys,
+                                                          width, height):
+    # scene.cfg sets downsample_factor=8; a side of 8 gives one cell
+    code = _synth_spec(tmp_path, f"preset=mini\nimage_width={width}\n"
+                                 f"image_height={height}\n")
+    assert code == 2
+    assert "must be at least 9" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_synth_smallest_frames_align_with_their_scene_cfg(tmp_path, capsys):
+    assert _synth_spec(tmp_path, "preset=mini\nimage_width=9\n"
+                                 "image_height=9\n") == 0
+    d = tmp_path / "d"
+    assert main(["align", "--config", str(d / "scene.cfg"), str(d / "ref"),
+                 str(d / "obs"), str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "sync.csv").is_file()
+
+
 def test_synth_renders_again_into_its_own_directory(tmp_path, capsys):
     out = tmp_path / "d"
     assert main(["synth", "mini", str(out)]) == 0

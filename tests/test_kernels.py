@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from helpers import (loop_lk_terms, loop_masked_sse, loop_warp_bilinear,
-                     loop_warp_nearest, textured_image)
+from helpers import (clamped_warp_bilinear, full_frame_lk_accumulate,
+                     full_frame_masked_sse, loop_lk_terms, loop_masked_sse,
+                     loop_warp_bilinear, loop_warp_nearest, textured_image)
 
 from roadalign import _kernels as kernels
 
@@ -76,12 +77,13 @@ def test_warps_with_interleaved_intrinsics_of_one_shape():
                 loop_warp_nearest(mask, wx, wy, wz, f, cx, cy))
 
 
-@pytest.mark.parametrize("skip", [0, 2])
+@pytest.mark.parametrize("skip", [1, 2])
 def test_lk_terms_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
-        h_np, g_np, n_np = kernels.lk_accumulate(warped, valid, obs,
+        _, _, resid = kernels.masked_sse(warped, valid, obs, skip)
+        h_np, g_np, n_np = kernels.lk_accumulate(warped, valid, resid,
                                                  f, cx, cy, skip)
         h_lp, g_lp, n_lp = loop_lk_terms(warped, valid, obs, f, cx, cy, skip)
         assert n_np == n_lp
@@ -89,15 +91,88 @@ def test_lk_terms_backends_agree(skip):
         assert np.allclose(g_np, g_lp, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("skip", [0, 2])
+@pytest.mark.parametrize("skip", [1, 2])
 def test_masked_sse_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(78, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
-        s_np, n_np = kernels.masked_sse(warped, valid, obs, skip)
+        s_np, n_np, resid = kernels.masked_sse(warped, valid, obs, skip)
         s_lp, n_lp = loop_masked_sse(warped, valid, obs, skip)
         assert n_np == n_lp
         assert s_np == pytest.approx(s_lp, rel=1e-10)
+        inner = np.s_[skip:-skip, skip:-skip]
+        assert np.array_equal(resid, (warped - obs)[inner])
+
+
+def test_residual_and_terms_refuse_a_frame_without_border():
+    # the terms use central differences, which need a pixel on each side
+    src = textured_image(79, (45, 60))
+    warped, valid = kernels.warp_bilinear(src, 0.01, 0.0, 0.0, 70.0, 29.5, 22.0)
+    with pytest.raises(ValueError, match="skip must be at least 1"):
+        kernels.masked_sse(warped, valid, src, 0)
+    with pytest.raises(ValueError, match="skip must be at least 1"):
+        kernels.lk_accumulate(warped, valid, src, 70.0, 29.5, 22.0, 0)
+    with pytest.raises(ValueError, match="skip must be at least 1"):
+        kernels.warp_sse(kernels.pad_edge(src, src.dtype), src,
+                         0.01, 0.0, 0.0, 70.0, 29.5, 22.0, 0)
+
+
+def _edge_cases(h, w):
+    """Rotations of an h x w frame: identity (every position on the
+    grid, the last row and column read through the padding), a pure
+    roll about an integer principal point (row cy samples whole columns
+    up to the last one, column cx whole rows up to the last one),
+    rotations pushing samples past every edge, and small ones."""
+    f = 1.2 * w
+    rng = np.random.default_rng(h * w)
+    cases = [((0.0, 0.0, 0.0), f, (w - 1) / 2, (h - 1) / 2),
+             ((0.0, 0.0, 0.05), f, float(w // 2), float(h // 2)),
+             ((0.0, 0.0, -0.11), f, float(w // 3), float(h // 3))]
+    for wx, wy in ((0.3, 0.0), (-0.3, 0.0), (0.0, 0.3), (0.0, -0.3)):
+        cases.append(((wx, wy, 0.2), f, (w - 1) / 2, (h - 1) / 2))
+    for _ in range(6):
+        cases.append((tuple(rng.uniform(-0.02, 0.02, 3)), f,
+                      (w - 1) / 2 + rng.uniform(-2, 2),
+                      (h - 1) / 2 + rng.uniform(-2, 2)))
+    return cases
+
+
+@pytest.mark.parametrize("shape", [(120, 160), (60, 80), (30, 40), (17, 23)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_equal_the_whole_frame_formulation_bitwise(shape, dtype):
+    src = textured_image(81, shape).astype(dtype)
+    obs = textured_image(82, shape).astype(dtype)
+    padded = kernels.pad_edge(src, dtype)
+    edges = {"last row": False, "last column": False, "outside": False}
+    for omega, f, cx, cy in _edge_cases(*shape):
+        warped, valid = kernels.warp_bilinear(src, *omega, f, cx, cy)
+        want, want_valid = clamped_warp_bilinear(src, *omega, f, cx, cy)
+        assert warped.dtype == want.dtype == dtype
+        assert np.array_equal(warped, want)
+        assert np.array_equal(np.signbit(warped), np.signbit(want))
+        assert np.array_equal(valid, want_valid)
+        sse, n, resid = kernels.masked_sse(warped, valid, obs, 2)
+        assert (sse, n) == full_frame_masked_sse(want, want_valid, obs, 2)
+        hess, grad, count = kernels.lk_accumulate(warped, valid, resid,
+                                                  f, cx, cy, 2)
+        h_want, g_want, n_want = full_frame_lk_accumulate(
+            want, want_valid, obs, f, cx, cy, 2)
+        assert count == n_want
+        assert grad.dtype == g_want.dtype
+        assert np.all(hess == h_want) and np.all(grad == g_want)
+        assert kernels.warp_sse(padded, obs, *omega, f, cx, cy, 2)[:2] \
+            == (sse, n)
+
+        h, w = shape
+        cols, rows, basis = kernels.pixel_grid(h, w, f, cx, cy,
+                                               np.dtype(dtype))
+        sx, sy = basis.flow(*map(float, omega))
+        sx, sy = sx + cols, sy + rows
+        edges["last column"] |= bool(np.any(valid & (sx == w - 1)))
+        edges["last row"] |= bool(np.any(valid & (sy == h - 1)))
+        edges["outside"] |= all(np.any(c) for c in (
+            sx < 0, sx > w - 1, sy < 0, sy > h - 1))
+    assert all(edges.values())
 
 
 # float32 tolerances. A float32 warp samples the frame at positions
@@ -137,7 +212,7 @@ def test_float32_warp_agrees_with_the_float64_oracle():
         assert np.all(w32[~v32] == 0.0)
 
 
-@pytest.mark.parametrize("skip", [0, 2])
+@pytest.mark.parametrize("skip", [1, 2])
 def test_float32_terms_agree_with_the_float64_oracles(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape).astype(np.float32)
@@ -145,7 +220,8 @@ def test_float32_terms_agree_with_the_float64_oracles(skip):
                                               wx, wy, wz, f, cx, cy)
         # the oracles run in float64 on the same float32 values
         w64, o64 = warped.astype(np.float64), obs.astype(np.float64)
-        hess, grad, n = kernels.lk_accumulate(warped, valid, obs,
+        s_np, n_np, resid = kernels.masked_sse(warped, valid, obs, skip)
+        hess, grad, n = kernels.lk_accumulate(warped, valid, resid,
                                               f, cx, cy, skip)
         h_lp, g_lp, n_lp = loop_lk_terms(w64, valid, o64, f, cx, cy, skip)
         assert n == n_lp
@@ -154,7 +230,6 @@ def test_float32_terms_agree_with_the_float64_oracles(skip):
                            atol=TERM_RTOL * np.abs(h_lp).max())
         assert np.allclose(grad, g_lp, rtol=0.0,
                            atol=TERM_RTOL * np.abs(g_lp).max())
-        s_np, n_np = kernels.masked_sse(warped, valid, obs, skip)
         s_lp, n_lp = loop_masked_sse(w64, valid, o64, skip)
         assert n_np == n_lp
         assert s_np == pytest.approx(s_lp, rel=TERM_RTOL)

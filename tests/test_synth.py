@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roadalign.config import read_key_values
+from roadalign.errors import ConfigError
 from roadalign.imagecore import load_image, load_mask, pyramid_depth
 from roadalign.invariant import log_chroma_projection, rgb_to_invariant
 from roadalign.synth import (PRESETS, RideSpec, SceneSpec, ShadowBand,
@@ -58,6 +59,16 @@ def test_scene_spec_validation():
         SceneSpec(seed=1, frames=0)
     with pytest.raises(ValueError):
         SceneSpec(seed=1, focal_px=-10.0)
+
+
+@pytest.mark.parametrize("width, height", [(8, 8), (9, 8), (8, 30)])
+def test_make_pair_refuses_sides_under_two_descriptor_cells(tmp_path, width,
+                                                            height):
+    # the written scene.cfg sets downsample_factor=8
+    scene = replace(TINY, image_width=width, image_height=height)
+    with pytest.raises(ConfigError, match="at least 9"):
+        make_pair(scene, RideSpec(), RideSpec(), tmp_path / "p")
+    assert not (tmp_path / "p").exists()
 
 
 def test_ride_spec_validation():
