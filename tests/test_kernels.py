@@ -77,11 +77,14 @@ def test_warps_with_interleaved_intrinsics_of_one_shape():
                 loop_warp_nearest(mask, wx, wy, wz, f, cx, cy))
 
 
-@pytest.mark.parametrize("skip", [1, 2])
+@pytest.mark.parametrize("skip", [0, 1, 2])
 def test_lk_terms_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        if skip == 0:
+            _assert_no_full_frame_terms(warped, valid, obs, f, cx, cy)
+            continue
         _, _, resid = kernels.masked_sse(warped, valid, obs, skip)
         h_np, g_np, n_np = kernels.lk_accumulate(warped, valid, resid,
                                                  f, cx, cy, skip)
@@ -91,11 +94,14 @@ def test_lk_terms_backends_agree(skip):
         assert np.allclose(g_np, g_lp, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("skip", [1, 2])
+@pytest.mark.parametrize("skip", [0, 1, 2])
 def test_masked_sse_backends_agree(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(78, src.shape)
         warped, valid = kernels.warp_bilinear(src, wx, wy, wz, f, cx, cy)
+        if skip == 0:
+            _assert_no_full_frame_terms(warped, valid, obs, f, cx, cy)
+            continue
         s_np, n_np, resid = kernels.masked_sse(warped, valid, obs, skip)
         s_lp, n_lp = loop_masked_sse(warped, valid, obs, skip)
         assert n_np == n_lp
@@ -104,14 +110,19 @@ def test_masked_sse_backends_agree(skip):
         assert np.array_equal(resid, (warped - obs)[inner])
 
 
+def _assert_no_full_frame_terms(warped, valid, obs, f, cx, cy):
+    # skip=0 would take central differences at the frame edge
+    with pytest.raises(ValueError, match="skip must be at least 1"):
+        kernels.masked_sse(warped, valid, obs, 0)
+    with pytest.raises(ValueError, match="skip must be at least 1"):
+        kernels.lk_accumulate(warped, valid, obs, f, cx, cy, 0)
+
+
 def test_residual_and_terms_refuse_a_frame_without_border():
     # the terms use central differences, which need a pixel on each side
     src = textured_image(79, (45, 60))
     warped, valid = kernels.warp_bilinear(src, 0.01, 0.0, 0.0, 70.0, 29.5, 22.0)
-    with pytest.raises(ValueError, match="skip must be at least 1"):
-        kernels.masked_sse(warped, valid, src, 0)
-    with pytest.raises(ValueError, match="skip must be at least 1"):
-        kernels.lk_accumulate(warped, valid, src, 70.0, 29.5, 22.0, 0)
+    _assert_no_full_frame_terms(warped, valid, src, 70.0, 29.5, 22.0)
     with pytest.raises(ValueError, match="skip must be at least 1"):
         kernels.warp_sse(kernels.pad_edge(src, src.dtype), src,
                          0.01, 0.0, 0.0, 70.0, 29.5, 22.0, 0)
@@ -212,12 +223,15 @@ def test_float32_warp_agrees_with_the_float64_oracle():
         assert np.all(w32[~v32] == 0.0)
 
 
-@pytest.mark.parametrize("skip", [1, 2])
+@pytest.mark.parametrize("skip", [0, 1, 2])
 def test_float32_terms_agree_with_the_float64_oracles(skip):
     for src, wx, wy, wz, f, cx, cy in _cases():
         obs = textured_image(77, src.shape).astype(np.float32)
         warped, valid = kernels.warp_bilinear(src.astype(np.float32),
                                               wx, wy, wz, f, cx, cy)
+        if skip == 0:
+            _assert_no_full_frame_terms(warped, valid, obs, f, cx, cy)
+            continue
         # the oracles run in float64 on the same float32 values
         w64, o64 = warped.astype(np.float64), obs.astype(np.float64)
         s_np, n_np, resid = kernels.masked_sse(warped, valid, obs, skip)
