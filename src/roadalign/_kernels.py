@@ -18,8 +18,10 @@ there. Pixels whose gradient stencil touches an invalid sample are
 skipped.
 
 The image kernels compute in the dtype of their image input: float32
-stays float32 and every other input is computed in float64. Gather
-indices are int32 wherever a frame's pixel count fits.
+stays float32 and every other input is computed in float64. A warp
+gathers with one intp index array, which `take` uses without a copy;
+the clip keeps every index in range, so `take` is told to wrap (which
+never happens) rather than to check each index.
 """
 
 import functools
@@ -66,11 +68,6 @@ _F64 = np.dtype(np.float64)
 def _float_dtype(arr):
     """float32 for a float32 array, float64 for every other one."""
     return arr.dtype if arr.dtype == np.float32 else _F64
-
-
-def _index_dtype(h, w):
-    """int32 while the flat indices of an h x w frame fit in it."""
-    return np.int32 if h * w <= np.iinfo(np.int32).max else np.intp
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,15 +122,15 @@ def _warp_padded(padded, wx, wy, wz, f, cx, cy):
     fx = sx - x0
     fy = sy - y0
     stride = w + 1
-    i = y0.astype(_index_dtype(h + 1, stride))
+    i = y0.astype(np.intp)
     i *= stride
-    i += x0.astype(i.dtype)
+    i += x0.astype(np.intp)
     flat = padded.ravel()
     gx = 1.0 - fx
-    top = gx * flat.take(i)
-    top += fx * flat[1:].take(i)
-    bot = gx * flat[stride:].take(i)
-    bot += fx * flat[stride + 1:].take(i)
+    top = gx * flat.take(i, mode="wrap")
+    top += fx * flat[1:].take(i, mode="wrap")
+    bot = gx * flat[stride:].take(i, mode="wrap")
+    bot += fx * flat[stride + 1:].take(i, mode="wrap")
     out = (1.0 - fy) * top
     out += fy * bot
     out[~valid] = 0.0
@@ -157,13 +154,12 @@ def warp_nearest(mask, wx, wy, wz, f, cx, cy):
     sx, sy, valid = _clipped_positions(h, w, wx, wy, wz, f, cx, cy, _F64)
     # a clipped position plus 0.5 is positive and below side - 0.5, so
     # the cast, which truncates, gives its floor inside the frame
-    index = _index_dtype(h, w)
     sx += 0.5
     sy += 0.5
-    i = sy.astype(index)
+    i = sy.astype(np.intp)
     i *= w
-    i += sx.astype(index)
-    return mask.ravel().take(i) & valid
+    i += sx.astype(np.intp)
+    return mask.ravel().take(i, mode="wrap") & valid
 
 
 def _interior(skip):

@@ -262,6 +262,14 @@ def pyramid_depth(shape, levels):
     return depth
 
 
+@functools.lru_cache(maxsize=16)
+def _halving_operator(n, dtype):
+    """`smooth_and_average(n, 1.0, 2)` as `dtype`, cast once; read-only."""
+    op = smooth_and_average(n, 1.0, 2).astype(dtype, copy=False)
+    op.setflags(write=False)
+    return op
+
+
 def build_pyramid(img, levels):
     """Coarse-to-fine pyramid: smooth (sigma 1) then halve, per level.
 
@@ -271,13 +279,17 @@ def build_pyramid(img, levels):
     exactly flat. Levels whose dimensions would drop below 16x16 are not
     built, so the pyramid holds `pyramid_depth(img.shape, levels)`
     levels; a shorter pyramid than requested is not reported here.
+    A float32 frame gives float32 levels, through the operators cast to
+    float32; any other frame gives float64 levels.
     """
-    arr = np.asarray(img, dtype=np.float64)
+    arr = np.asarray(img)
+    arr = arr.astype(arr.dtype if arr.dtype == np.float32 else np.float64,
+                     copy=False)
     depth = pyramid_depth(arr.shape, levels)
     pyramid = [arr]
     while len(pyramid) < depth:
         x = pyramid[-1]
-        rows, cols = (smooth_and_average(n, 1.0, 2) for n in x.shape)
+        rows, cols = (_halving_operator(n, arr.dtype) for n in x.shape)
         c = x.flat[0]
         pyramid.append(rows @ (x - c) @ cols.T + c)
     return pyramid

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .descriptor import DescriptorBank, compute_descriptor
 from .errors import AlignmentError, DataError
 from .evaluate import (MEASURES, aggregate, contingency, format_mean_std,
@@ -106,40 +108,62 @@ def _load_frame(path, cfg, direction, shape=None):
 
 @dataclass
 class ReferenceRide:
-    feature: list   # per-frame image in the working space
-    masks: list
+    """The reference frames, their road masks and their descriptors.
+
+    A frame is stored as float32 in the working space and its mask
+    packed one bit per pixel (`np.packbits`): 4 h w + ceil(h w / 8)
+    bytes a frame. `frame(label)` and `mask(label)` give them back.
+    """
+
+    feature: list   # float32 frame per label, in the working space
+    masks: list     # packed mask per label
     bank: DescriptorBank
+    shape: tuple    # (rows, columns) of every frame
 
     @property
     def diff(self):
         # read by the benchmark's tracer; refinement uses the feature images
         return self.feature
 
+    def frame(self, label):
+        """Reference frame `label` (1-based), float32 and read-only."""
+        return self.feature[label - 1]
+
+    def mask(self, label):
+        """Road mask of reference frame `label` (1-based), a bool array."""
+        h, w = self.shape
+        bits = np.unpackbits(self.masks[label - 1], count=h * w)
+        return bits.view(bool).reshape(h, w)
+
 
 def load_reference(ref_dir, cfg):
     """Load reference frames + masks and precompute their descriptors.
 
-    Each frame's mask is the mask file of its frame number.
+    Each frame's mask is the mask file of its frame number. A frame is
+    described from its float64 working image, which is then stored as
+    float32 and let go.
     """
     direction = InvariantDirection(cfg.theta)
     mask_paths = dict(_list_indexed(ref_dir, _MASK_RE, "mask", required=False))
-    feature, masks = [], []
+    feature, masks, descs = [], [], []
+    shape = None
     for index, path in list_frames(ref_dir):
-        image = _load_frame(path, cfg, direction,
-                            feature[0].shape if feature else None)
+        image = _load_frame(path, cfg, direction, shape)
+        shape = image.shape
         if index not in mask_paths:
             raise DataError(f"missing reference mask for {path}")
         mask = load_mask(mask_paths[index])
-        if mask.shape != image.shape:
+        if mask.shape != shape:
             raise DataError(f"{mask_paths[index]}: mask is {mask.shape[1]}x"
                             f"{mask.shape[0]}, its frame {path} is "
-                            f"{image.shape[1]}x{image.shape[0]}")
-        feature.append(image)
-        masks.append(mask)
-    bank = DescriptorBank([compute_descriptor(f, cfg.smooth_sigma,
-                                              cfg.downsample_factor)
-                           for f in feature])
-    return ReferenceRide(feature, masks, bank)
+                            f"{shape[1]}x{shape[0]}")
+        descs.append(compute_descriptor(image, cfg.smooth_sigma,
+                                        cfg.downsample_factor))
+        frame = image.astype(np.float32)
+        frame.setflags(write=False)
+        feature.append(frame)
+        masks.append(np.packbits(mask))
+    return ReferenceRide(feature, masks, DescriptorBank(descs), shape)
 
 
 @dataclass(frozen=True)
@@ -181,7 +205,7 @@ def _open_run(ref_dir, obs_dir, out_dir, cfg, refine):
     """
     indexed = list_frames(obs_dir)
     ref = load_reference(ref_dir, cfg)
-    shape = ref.feature[0].shape
+    shape = ref.shape
     for _, path in indexed:
         _check_frame(path, read_image_shape(path), shape, cfg)
     levels = pyramid_depth(shape, cfg.pyramid_levels)
@@ -199,9 +223,9 @@ def _register_and_transfer(run, image, label):
     """LK-align one matched pair and carry the road mask across.
 
     The refinement reuses LK's final warp of the reference frame; after
-    an identity fallback it warps the reference frame itself.
+    an identity fallback it warps the stored float32 frame itself.
     """
-    ref_image, ref_mask = run.ref.feature[label - 1], run.ref.masks[label - 1]
+    ref_image, ref_mask = run.ref.frame(label), run.ref.mask(label)
     try:
         omega, residual, warp = lk_align(ref_image, image, run.intrinsics,
                                          run.levels)

@@ -126,8 +126,10 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
     ends. A level also ends after an accepted step, or at a halved step,
     that moves no pixel of the level by MIN_STEP_PX or more.
 
-    Both pyramids, their warps and the Gauss-Newton terms are float32;
-    the angles, the normal equations and the residual are float64.
+    Both frames are taken as float32, so a float32 frame enters without
+    a copy; their pyramids, warps and the Gauss-Newton terms are
+    float32, and the angles, the normal equations and the residual are
+    float64.
 
     Returns (RotationParams, mean squared residual on the finest level,
     (warped, valid)). The last is the finest level's warp of the
@@ -138,8 +140,8 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
     Raises AlignmentError on singular normal equations, non-finite
     values, or estimates leaving the small-rotation range.
     """
-    ref = np.asarray(reference_frame, dtype=np.float64)
-    obs = np.asarray(observed_frame, dtype=np.float64)
+    ref = np.asarray(reference_frame, dtype=np.float32)
+    obs = np.asarray(observed_frame, dtype=np.float32)
     if ref.shape != obs.shape:
         raise ValueError("frame shapes differ")
     omega = np.zeros(3)
@@ -147,7 +149,7 @@ def lk_align(reference_frame, observed_frame, intrinsics, levels=3):
     # each reference level is padded once for all of its warps
     pyr_ref = [_kernels.pad_edge(a, np.float32)
                for a in build_pyramid(ref, levels)]
-    pyr_obs = [a.astype(np.float32) for a in build_pyramid(obs, levels)]
+    pyr_obs = build_pyramid(obs, levels)
 
     mse = math.inf
     for level in range(len(pyr_ref) - 1, -1, -1):

@@ -22,22 +22,39 @@ MIN_BLOB_PX = 25  # foreground blobs smaller than this are noise, not objects
 HISTOGRAM_BINS = 256  # Otsu histogram cells over the difference range [0, 1]
 
 
+def _histogram(values, bins):
+    """`np.histogram(values, bins, range=(0, 1))[0]` for a power-of-two
+    `bins`: 1.0 closes the last cell, values outside [0, 1] are left out.
+
+    v * bins only scales by a power of two, so the floor of the product
+    is v's cell exactly; the cast floors the non-negative products.
+    """
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        values = values[(values >= 0.0) & (values <= 1.0)]
+    cells = (values * bins).astype(np.intp)
+    np.minimum(cells, bins - 1, out=cells)
+    return np.bincount(cells, minlength=bins)
+
+
 def otsu_threshold(img, bins=HISTOGRAM_BINS):
     """Bin-edge threshold maximizing between-class variance.
 
-    The histogram uses `bins` equal-width cells over [0, 1]; candidate
-    thresholds are the interior bin edges and ties resolve to the lowest
-    edge. Foreground is everything strictly above the threshold, so a
-    constant image (returned unchanged as the threshold) yields an empty
-    foreground.
+    The histogram uses `bins` equal-width cells over [0, 1], `bins` a
+    power of two, as `np.histogram` counts them (`_histogram`).
+    Candidate thresholds are the interior bin edges and ties resolve to
+    the lowest edge. Foreground is everything strictly above the
+    threshold, so a constant image (returned unchanged as the threshold)
+    yields an empty foreground.
     """
+    if bins < 2 or bins & (bins - 1):
+        raise ValueError(f"bins must be a power of two, got {bins}")
     values = np.asarray(img, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("empty input")
     lo = values.min()
     if lo == values.max():
         return float(lo)
-    hist, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
+    hist = _histogram(values, bins)
     centers = (np.arange(bins) + 0.5) / bins
     total = hist.sum()
     weighted = hist * centers

@@ -11,7 +11,8 @@ from scipy import ndimage
 from roadalign.errors import (ImageFormatError, MalformedHeaderError,
                               TruncatedPayloadError, UnsupportedMaxvalError)
 from roadalign import imagecore
-from roadalign.imagecore import (RGB_FLOOR, _parse_pnm_header, build_pyramid,
+from roadalign.imagecore import (RGB_FLOOR, _halving_operator,
+                                 _parse_pnm_header, build_pyramid,
                                  gaussian_kernel, load_image, load_mask,
                                  pyramid_depth, read_image_shape, rgb_to_gray,
                                  save_image_rgb, save_mask, smooth_and_average)
@@ -339,10 +340,30 @@ def test_build_pyramid_float32_levels_equal_the_oracle(shape):
                                   want.astype(np.float32))
 
 
+@pytest.mark.parametrize("shape", [(33, 47), (60, 80), (120, 160)])
+def test_build_pyramid_follows_a_float32_frame(shape):
+    # registration builds its pyramids from float32 frames, through the
+    # operators cast to float32 once
+    img = textured_image(sum(shape) + 1, shape)
+    got = build_pyramid(img.astype(np.float32), 3)
+    want = build_pyramid(img, 3)
+    assert [p.dtype for p in got] == [np.dtype(np.float32)] * len(want)
+    assert np.array_equal(got[0], img.astype(np.float32))
+    for level, oracle in zip(got[1:], want[1:]):
+        assert np.allclose(level, oracle, rtol=0, atol=1e-6)
+    op = _halving_operator(shape[0], np.dtype(np.float32))
+    assert op is _halving_operator(shape[0], np.dtype(np.float32))
+    assert op.dtype == np.float32 and not op.flags.writeable
+    assert np.array_equal(op, smooth_and_average(shape[0], 1.0, 2)
+                          .astype(np.float32))
+
+
 def test_build_pyramid_keeps_a_flat_frame_exactly_flat():
-    for shape in [(33, 47), (120, 160)]:
-        for level in build_pyramid(np.full(shape, 0.37), 3):
-            assert np.all(level == 0.37)
+    for dtype in (np.float64, np.float32):
+        for shape in [(33, 47), (120, 160)]:
+            flat = np.full(shape, 0.37, dtype=dtype)
+            for level in build_pyramid(flat, 3):
+                assert level.dtype == dtype and np.all(level == flat[0, 0])
 
 
 @pytest.mark.parametrize("header", [b"P7\n640 480\n255\n", b"P6 640 -480 255\n",

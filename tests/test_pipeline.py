@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from helpers import similarity
 
-from roadalign import _kernels
+from roadalign import _kernels, pipeline
 from roadalign.config import PipelineConfig
 from roadalign.descriptor import compute_descriptor
-from roadalign.errors import DataError
+from roadalign.errors import AlignmentError, DataError
 from roadalign.imagecore import (load_image, load_mask, save_image_rgb,
                                  save_mask)
 from roadalign.invariant import InvariantDirection
@@ -56,6 +56,28 @@ def test_load_reference_builds_bank(mini_pair, mini_cfg):
     ref = load_reference(mini_pair.ref, mini_cfg)
     assert len(ref.feature) == len(ref.masks) == len(ref.bank) == 18
     assert ref.feature[0].shape == (60, 80)
+
+
+def test_load_reference_stores_float32_frames_and_one_bit_masks(mini_pair,
+                                                               mini_cfg):
+    ref = load_reference(mini_pair.ref, mini_cfg)
+    h, w = ref.shape
+    stored = {id(a): a for a in [*ref.feature, *ref.masks]}
+    assert (sum(a.nbytes for a in stored.values())
+            == len(ref.bank) * (4 * h * w + math.ceil(h * w / 8)))
+    direction = InvariantDirection(mini_cfg.theta)
+    pairs = zip(list_frames(mini_pair.ref), list_masks(mini_pair.ref))
+    for label, ((_, frame_path), (_, mask_path)) in enumerate(pairs, 1):
+        image = convert_frame(load_image(frame_path), mini_cfg.feature_space,
+                              direction)
+        frame = ref.frame(label)
+        assert frame.dtype == np.float32 and not frame.flags.writeable
+        assert np.array_equal(frame, image.astype(np.float32))
+        mask = ref.mask(label)
+        assert mask.dtype == bool and np.array_equal(mask, load_mask(mask_path))
+        # the bank describes the float64 image, not the stored frame
+        assert np.array_equal(ref.bank.matrix[label - 1], compute_descriptor(
+            image, mini_cfg.smooth_sigma, mini_cfg.downsample_factor).ravel())
 
 
 def test_load_reference_requires_masks(tmp_path, mini_cfg):
@@ -231,15 +253,36 @@ def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
     assert len(rows) == 14 - cfg.lag
     ref = load_reference(mini_pair.ref, cfg)
     direction = InvariantDirection(cfg.theta)
-    shape = ref.feature[0].shape
-    intrinsics = cfg.intrinsics(shape[1], shape[0])
+    intrinsics = cfg.intrinsics(ref.shape[1], ref.shape[0])
     for r in rows:
         obs = convert_frame(
             load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
             feature_space, direction)
         expected = transfer_and_refine(
-            ref.masks[r.label - 1], ref.feature[r.label - 1], obs, r.omega,
-            intrinsics)
+            ref.mask(r.label), ref.frame(r.label), obs, r.omega, intrinsics)
+        mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
+        assert np.array_equal(mask, expected)
+
+
+def test_identity_fallback_transfers_from_the_stored_float32_frame(
+        mini_pair, mini_cfg, tmp_path, monkeypatch):
+    def textureless(*args):
+        raise AlignmentError("singular normal equations (textureless input)")
+
+    monkeypatch.setattr(pipeline, "lk_align", textureless)
+    rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", mini_cfg)
+    assert len(rows) == 14 - mini_cfg.lag
+    assert all(math.isnan(r.residual) and r.omega == RotationParams()
+               for r in rows)
+    ref = load_reference(mini_pair.ref, mini_cfg)
+    direction = InvariantDirection(mini_cfg.theta)
+    intrinsics = mini_cfg.intrinsics(ref.shape[1], ref.shape[0])
+    for r in rows:
+        obs = convert_frame(
+            load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
+            mini_cfg.feature_space, direction)
+        expected = transfer_and_refine(ref.mask(r.label), ref.frame(r.label),
+                                       obs, RotationParams(), intrinsics)
         mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
         assert np.array_equal(mask, expected)
 

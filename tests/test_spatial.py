@@ -146,6 +146,16 @@ def test_lk_align_returns_the_warp_of_its_rotation(levels):
     assert np.array_equal(valid, fresh_valid)
 
 
+def test_lk_align_takes_frames_as_float32():
+    ref = textured_image(48, (120, 160))
+    obs, _ = warp_image(ref, RotationParams(0.004, -0.006, 0.002), INTR)
+    est, mse, (warped, valid) = lk_align(ref, obs, INTR)
+    est32, mse32, (warped32, valid32) = lk_align(
+        ref.astype(np.float32), obs.astype(np.float32), INTR)
+    assert est == est32 and mse == mse32
+    assert np.array_equal(warped, warped32) and np.array_equal(valid, valid32)
+
+
 def test_lk_align_warps_each_candidate_once(monkeypatch):
     # pinned counts; a solver that warps again for every Gauss-Newton step
     # and halves each level's last step down to 1e-7 rad makes 191

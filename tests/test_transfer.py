@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from roadalign.spatial import CameraIntrinsics, RotationParams, warp_mask
-from roadalign.transfer import (detect_foreground, fill_holes, otsu_threshold,
+from roadalign.transfer import (_histogram, detect_foreground, fill_holes,
+                                otsu_threshold,
                                 remove_small_components, transfer_and_refine)
 
 
@@ -33,6 +34,30 @@ def test_otsu_separates_ideal_bimodal_input():
     fg = vals > t
     assert fg.sum() == 50
     assert np.all(vals[fg] == 0.9)
+
+
+@pytest.mark.parametrize("bins", [2, 16, 256])
+def test_otsu_histogram_counts_what_np_histogram_counts(bins):
+    # every edge k/bins, both ends, values one ulp to either side of each,
+    # just past 1 (as a float32 warp may round) and below 0, and outside
+    edges = np.arange(bins + 1) / bins
+    near = np.concatenate([edges, np.nextafter(edges, -1.0),
+                           np.nextafter(edges, 2.0)])
+    rng = np.random.default_rng(52)
+    cases = [near, edges, edges[1:-1], np.array([0.0, 1.0]),
+             np.array([-0.0, 0.5, 1.0 + 2.0 ** -23, -1e-300, 7.0, -3.0]),
+             np.full(9, 0.25), np.full(9, 1.0),
+             np.float32(rng.random(300)).astype(np.float64) * 1.001]
+    for values in cases:
+        want, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
+        got = _histogram(values, bins)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_otsu_refuses_bins_that_are_not_a_power_of_two():
+    for bins in (0, 1, 3, 100):
+        with pytest.raises(ValueError, match="power of two"):
+            otsu_threshold(np.array([0.1, 0.9]), bins)
 
 
 def test_otsu_constant_and_empty_inputs():
