@@ -243,6 +243,22 @@ def test_clamped_pyramid_warns_once_per_run(mini_pair, mini_cfg, tmp_path,
                 == (tmp_path / "two" / name).read_bytes())
 
 
+def _assert_masks_are_fresh_transfers(mini_pair, cfg, out, rows):
+    """Each row's mask equals `transfer_and_refine` from the stored
+    reference frame and mask at the row's rotation, warped anew."""
+    ref = load_reference(mini_pair.ref, cfg)
+    direction = InvariantDirection(cfg.theta)
+    intrinsics = cfg.intrinsics(ref.shape[1], ref.shape[0])
+    for r in rows:
+        obs = convert_frame(
+            load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
+            cfg.feature_space, direction)
+        expected = transfer_and_refine(
+            ref.mask(r.label), ref.frame(r.label), obs, r.omega, intrinsics)
+        mask = load_mask(out / f"mask_{r.observed_index:06d}.pgm")
+        assert np.array_equal(mask, expected)
+
+
 @pytest.mark.parametrize("feature_space", ["invariant", "gray"])
 def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
                                             feature_space):
@@ -251,17 +267,7 @@ def test_align_masks_equal_a_fresh_transfer(mini_pair, mini_cfg, tmp_path,
     cfg = dataclasses.replace(mini_cfg, feature_space=feature_space)
     rows = run_align(mini_pair.ref, mini_pair.obs, tmp_path / "out", cfg)
     assert len(rows) == 14 - cfg.lag
-    ref = load_reference(mini_pair.ref, cfg)
-    direction = InvariantDirection(cfg.theta)
-    intrinsics = cfg.intrinsics(ref.shape[1], ref.shape[0])
-    for r in rows:
-        obs = convert_frame(
-            load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
-            feature_space, direction)
-        expected = transfer_and_refine(
-            ref.mask(r.label), ref.frame(r.label), obs, r.omega, intrinsics)
-        mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
-        assert np.array_equal(mask, expected)
+    _assert_masks_are_fresh_transfers(mini_pair, cfg, tmp_path / "out", rows)
 
 
 def test_identity_fallback_transfers_from_the_stored_float32_frame(
@@ -274,17 +280,8 @@ def test_identity_fallback_transfers_from_the_stored_float32_frame(
     assert len(rows) == 14 - mini_cfg.lag
     assert all(math.isnan(r.residual) and r.omega == RotationParams()
                for r in rows)
-    ref = load_reference(mini_pair.ref, mini_cfg)
-    direction = InvariantDirection(mini_cfg.theta)
-    intrinsics = mini_cfg.intrinsics(ref.shape[1], ref.shape[0])
-    for r in rows:
-        obs = convert_frame(
-            load_image(mini_pair.obs / f"frame_{r.observed_index:06d}.ppm"),
-            mini_cfg.feature_space, direction)
-        expected = transfer_and_refine(ref.mask(r.label), ref.frame(r.label),
-                                       obs, RotationParams(), intrinsics)
-        mask = load_mask(tmp_path / "out" / f"mask_{r.observed_index:06d}.pgm")
-        assert np.array_equal(mask, expected)
+    _assert_masks_are_fresh_transfers(mini_pair, mini_cfg, tmp_path / "out",
+                                      rows)
 
 
 def test_align_warps_each_reference_frame_once_per_candidate(

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from roadalign.spatial import CameraIntrinsics, RotationParams, warp_mask
 from roadalign.transfer import (_histogram, detect_foreground, fill_holes,
-                                otsu_threshold,
-                                remove_small_components, transfer_and_refine)
+                                otsu_threshold, remove_small_components,
+                                transfer_and_refine)
 
 
 def test_otsu_matches_naive_enumeration():
